@@ -17,7 +17,7 @@ import numpy as np
 
 from .distributions import DirichletParams, dirichlet_entropy, dirichlet_entropy_grad
 from .exceptions import ContractError, DomainError
-from .mathcore import RandomStream, digamma, log_gamma_fn, trigamma
+from .mathcore import RandomStream, StreamBatch, digamma, log_gamma_fn, trigamma
 from .models import ModelSpec
 from .rejection import BankDraw, _augment, dh_dalpha, make_sampler_bank
 
@@ -86,6 +86,7 @@ class GradientEstimate:
 
 @dataclass(frozen=True)
 class VarianceProfile:
+    means: np.ndarray
     variances: np.ndarray
     vmin: float
     vmedian: float
@@ -246,7 +247,11 @@ def _lgamma_vec(x):
 
 
 def _glr_psi(eps, alpha, psi_alpha):
-    """grad_log_ratio_gamma with psi(alpha) supplied (bank-cached)."""
+    """grad_log_ratio_gamma with psi(alpha) supplied (bank-cached).
+
+    The estimators pass alpha and psi(alpha) as (1, k) rows against
+    (replicates, k) eps, so a single replicate needs no broadcasting.
+    """
     s2 = 9.0 * alpha - 3.0
     s = np.sqrt(s2)
     y = 1.0 + eps / s
@@ -264,13 +269,43 @@ def _make_bank(pb, theta, aug_b):
     return make_sampler_bank(_block_params(theta, pb), 1.0, aug_b)
 
 
-def _sample_blocks(blocks, theta, cfg, stream):
-    """Draw one z per latent via the rejection banks; returns materials."""
-    mats = []
-    for pb in blocks:
-        bank = _make_bank(pb, theta, cfg.aug_b)
-        mats.append((pb, bank, bank.draw(stream)))
-    return mats
+# Latent draws per chunk of replicates in variance_profile. It bounds the
+# chunk's memory; results do not depend on it, because every replicate
+# draws from its own stream.
+_CHUNK_DRAWS = 2**13
+
+
+@dataclass
+class _Plan:
+    """What an estimate needs that depends on theta alone, built once per call:
+    the block layout, one sampler bank per block, the analytic entropy
+    gradient and, for the score-function kind, its theta-only constants."""
+
+    model: ModelSpec
+    cfg: EstimatorConfig
+    theta: np.ndarray
+    blocks: list
+    n_params: int
+    banks: list
+    g_entropy: np.ndarray
+    score_consts: list | None
+
+
+def _plan(model, theta, cfg) -> _Plan:
+    blocks, n_params = param_layout(model)
+    theta = _check_theta(theta, n_params)
+    _, g_entropy = _entropy_parts(blocks, theta)
+    banks = [_make_bank(pb, theta, cfg.aug_b) for pb in blocks]
+    consts = None
+    if cfg.kind == "score_function":
+        layout_key = tuple((pb.family, pb.dim) for pb in blocks)
+        consts = _score_consts_cached(layout_key, tuple(float(t) for t in theta))
+    return _Plan(model, cfg, theta, blocks, n_params, banks, g_entropy, consts)
+
+
+def _sample_blocks(plan, rows):
+    """One z per latent and replicate via the rejection banks; returns materials."""
+    return [(pb, bank, bank.draw_streams(rows)) for pb, bank in zip(plan.blocks, plan.banks)]
 
 
 def _block_log_latents(pb, log_z):
@@ -281,173 +316,189 @@ def _block_log_latents(pb, log_z):
 
 
 def _latents_from_mats(mats, n_latents):
-    lz_full = np.empty(n_latents)
+    """(replicates, n_latents) log latents, blocks in layout order."""
+    lz_full = np.empty((mats[0][2].log_z.shape[0], n_latents))
     for pb, _bank, bd in mats:
-        lz_full[pb.latent_slice] = _block_log_latents(pb, bd.log_z)
+        lz_full[:, pb.latent_slice] = _block_log_latents(pb, bd.log_z)
     return lz_full
 
 
 def _eval_model(model, lz_full):
-    f = float(model.log_joint(lz_full))
-    if not math.isfinite(f):
-        raise DomainError(f"estimate rejected: log-joint is non-finite ({f!r}) at log z = {lz_full!r}")
-    gf = np.asarray(model.grad_latents(lz_full), dtype=float)
-    if gf.shape != lz_full.shape or not np.isfinite(gf).all():
-        raise DomainError("estimate rejected: latent gradient is non-finite or mis-shaped")
+    """log p and d log p / d log z at every row, one callback pair per row."""
+    f = np.empty(lz_full.shape[0])
+    gf = np.empty(lz_full.shape)
+    for g, lz in enumerate(lz_full):
+        fg = float(model.log_joint(lz))
+        if not math.isfinite(fg):
+            raise DomainError(f"estimate rejected: log-joint is non-finite ({fg!r}) at log z = {lz!r}")
+        gg = np.asarray(model.grad_latents(lz), dtype=float)
+        if gg.shape != lz.shape or not np.isfinite(gg).all():
+            raise DomainError("estimate rejected: latent gradient is non-finite or mis-shaped")
+        f[g] = fg
+        gf[g] = gg
     return f, gf
 
 
 def _pathwise_terms(pb, bank, bd, theta, g_block, lz_block, weight=None):
     """g_rep contributions for one block: df/dlog z dot d log z / d theta.
 
-    The shape path runs through the transform (d ln h/dalpha), the
-    augmentation uniforms' exponents (aug_dsum), and -- for mean-shape
-    blocks -- the rate shape/mean, which contributes -1/shape; the mean
-    path is d ln z/d mean = 1/mean. Dirichlet blocks route through the
-    simplex normalization, d ln z_k/d ln z1_j = delta_kj - z_j.
+    One row per replicate. The shape path runs through the transform
+    (d ln h/dalpha), the augmentation uniforms' exponents (aug_dsum), and
+    -- for mean-shape blocks -- the rate shape/mean, which contributes
+    -1/shape; the mean path is d ln z/d mean = 1/mean. Dirichlet blocks
+    route through the simplex normalization, d ln z_k/d ln z1_j =
+    delta_kj - z_j. `weight` holds one importance weight per row.
     """
-    dlogz1_da = dh_dalpha(bd.eps, bank.eff_shapes) / bd.h + bd.aug_dsum
+    dlogz1_da = dh_dalpha(bd.eps, bank.eff_shapes[None]) / bd.h + bd.aug_dsum
     if pb.family == "gamma_mean_shape":
         shapes, means = _block_params(theta, pb)
-        rep = np.concatenate([g_block * (dlogz1_da - 1.0 / shapes), g_block / means])
+        rep = np.concatenate([g_block * (dlogz1_da - 1.0 / shapes), g_block / means], axis=-1)
     else:
-        rep = (g_block - np.exp(lz_block) * g_block.sum()) * dlogz1_da
-    return rep if weight is None else rep * weight
+        rep = (g_block - np.exp(lz_block) * g_block.sum(axis=-1, keepdims=True)) * dlogz1_da
+    return rep if weight is None else rep * weight[:, None]
 
 
-def _one_draw_rsvi(model, blocks, n_latents, theta, cfg, stream):
-    mats = _sample_blocks(blocks, theta, cfg, stream)
-    lz_full = _latents_from_mats(mats, n_latents)
-    f, gf = _eval_model(model, lz_full)
-    n_params = blocks[-1].theta_slice.stop
-    g_rep = np.zeros(n_params)
-    g_cor = np.zeros(n_params)
-    trials = 0
+def _draw_rsvi(plan, rows):
+    mats = _sample_blocks(plan, rows)
+    lz_full = _latents_from_mats(mats, plan.model.n_latents)
+    f, gf = _eval_model(plan.model, lz_full)
+    g_rep = np.zeros((rows.size, plan.n_params))
+    g_cor = np.zeros((rows.size, plan.n_params))
+    trials = np.zeros(rows.size, dtype=np.int64)
     for pb, bank, bd in mats:
-        trials += int(bd.trials.sum())
+        trials += bd.trials.sum(axis=1)
         sl = pb.latent_slice
-        g_rep[pb.theta_slice] = _pathwise_terms(pb, bank, bd, theta, gf[sl], lz_full[sl])
-        glr = _glr_psi(bd.eps, bank.eff_shapes, bank.psi_eff)
-        g_cor[pb.theta_slice.start : pb.theta_slice.start + pb.dim] = f * glr
+        g_rep[:, pb.theta_slice] = _pathwise_terms(pb, bank, bd, plan.theta, gf[:, sl], lz_full[:, sl])
+        glr = _glr_psi(bd.eps, bank.eff_shapes[None], bank.psi_eff[None])
+        g_cor[:, pb.theta_slice.start : pb.theta_slice.start + pb.dim] = f[:, None] * glr
     return g_rep, g_cor, trials
 
 
-def _one_draw_score(model, blocks, n_latents, theta, cfg, stream):
-    mats = _sample_blocks(blocks, theta, cfg, stream)
-    lz_full = _latents_from_mats(mats, n_latents)
-    f, _ = _eval_model(model, lz_full)
-    n_params = blocks[-1].theta_slice.stop
-    g_cor = np.zeros(n_params)
-    trials = 0
-    layout_key = tuple((pb.family, pb.dim) for pb in blocks)
-    consts = _score_consts_cached(layout_key, tuple(float(t) for t in theta))
-    for (pb, _bank, bd), (const, shapes, means) in zip(mats, consts):
-        trials += int(bd.trials.sum())
-        lz = lz_full[pb.latent_slice]
+def _draw_score(plan, rows):
+    mats = _sample_blocks(plan, rows)
+    lz_full = _latents_from_mats(mats, plan.model.n_latents)
+    f, _ = _eval_model(plan.model, lz_full)
+    f = f[:, None]
+    g_cor = np.zeros((rows.size, plan.n_params))
+    trials = np.zeros(rows.size, dtype=np.int64)
+    for (pb, _bank, bd), (const, shapes, means) in zip(mats, plan.score_consts):
+        trials += bd.trials.sum(axis=1)
+        lz = lz_full[:, pb.latent_slice]
         if pb.family == "gamma_mean_shape":
             d_rate = means - np.exp(lz)  # shape/rate - z with rate = shape/mean
             d_a = const + lz + d_rate / means
             d_mu = d_rate * (-shapes / (means * means))
-            g_cor[pb.theta_slice] = f * np.concatenate([d_a, d_mu])
+            g_cor[:, pb.theta_slice] = f * np.concatenate([d_a, d_mu], axis=1)
         else:
-            g_cor[pb.theta_slice] = f * (lz + const)
-    return np.zeros(n_params), g_cor, trials
+            g_cor[:, pb.theta_slice] = f * (lz + const)
+    return np.zeros((rows.size, plan.n_params)), g_cor, trials
 
 
-def _one_draw_importance(model, blocks, n_latents, theta, cfg, stream):
+def _draw_importance(plan, rows):
     """Propose eps ~ s directly and weight both terms by prod q/r.
 
     Proposals past the transform boundary carry weight zero (the target
-    density vanishes there), which zeroes the whole product weight.
+    density vanishes there), which zeroes the whole product weight: such a
+    replicate's terms are zero and its model is not evaluated.
     """
-    mats = []
-    log_w = 0.0
-    valid = True
-    for pb in blocks:
-        bank = _make_bank(pb, theta, cfg.aug_b)
-        eps = stream.std_normals(pb.dim)
+    n_rows = rows.size
+    drawn = []
+    log_w = np.zeros(n_rows)
+    valid = np.ones(n_rows, dtype=bool)
+    for pb, bank in zip(plan.blocks, plan.banks):
+        eps = rows.std_normals(pb.dim)
         eff = bank.eff_shapes
-        s = np.sqrt(9.0 * eff - 3.0)
-        y = 1.0 + eps / s
-        if np.any(y <= 0.0):
-            valid = False
-        h = (eff - 1.0 / 3.0) * np.where(y > 0.0, y, 1.0) ** 3
-        aug_u = stream.uniforms_open(bank.max_b * pb.dim).reshape(bank.max_b, pb.dim)
+        y = 1.0 + eps / np.sqrt(9.0 * eff - 3.0)
+        inside = y > 0.0
+        valid &= inside.all(axis=1)
+        y = np.where(inside, y, 1.0)
+        h = (eff - 1.0 / 3.0) * y**3
+        aug_u = rows.uniforms_open(bank.max_b * pb.dim).reshape(n_rows, bank.max_b, pb.dim)
         log_prod_u, aug_dsum = _augment(bank.shapes, bank.b_steps, aug_u)
-        if valid:
-            log_w += float(np.sum(_log_ratio_vec(eps, eff, bank.log_M)))
-        bd = BankDraw(
-            eps=eps,
-            h=h,
-            aug_dsum=aug_dsum,
-            log_z=np.log(h) + log_prod_u - np.log(bank.rates),
-            trials=np.ones(pb.dim, dtype=np.int64),
-            aug_u=aug_u,
-        )
-        mats.append((pb, bank, bd))
-    n_params = blocks[-1].theta_slice.stop
-    g_rep = np.zeros(n_params)
-    g_cor = np.zeros(n_params)
-    n_proposals = sum(pb.dim for pb in blocks)
-    if not valid:
+        # rows past the boundary accumulate a finite value that is never used
+        log_w += _log_ratio_vec(eps, y, eff, bank.log_M).sum(axis=1)
+        log_z = np.log(h) + log_prod_u - np.log(bank.rates)
+        drawn.append((pb, bank, (eps, h, aug_dsum, log_z, np.ones(eps.shape, dtype=np.int64), aug_u)))
+    g_rep = np.zeros((n_rows, plan.n_params))
+    g_cor = np.zeros((n_rows, plan.n_params))
+    n_proposals = np.full(n_rows, sum(pb.dim for pb in plan.blocks), dtype=np.int64)
+    keep = np.flatnonzero(valid)
+    if not keep.size:
         return g_rep, g_cor, n_proposals
-    weight = math.exp(log_w)
-    lz_full = _latents_from_mats(mats, n_latents)
-    f, gf = _eval_model(model, lz_full)
-    wf = weight * f
+    mats = [(pb, bank, BankDraw(*(a[keep] for a in fields))) for pb, bank, fields in drawn]
+    weight = np.array([math.exp(w) for w in log_w[keep]])
+    lz_full = _latents_from_mats(mats, plan.model.n_latents)
+    f, gf = _eval_model(plan.model, lz_full)
+    wf = (weight * f)[:, None]
     for pb, bank, bd in mats:
         sl = pb.latent_slice
-        g_rep[pb.theta_slice] = _pathwise_terms(pb, bank, bd, theta, gf[sl], lz_full[sl], weight=weight)
-        glr = _glr_psi(bd.eps, bank.eff_shapes, bank.psi_eff)
-        g_cor[pb.theta_slice.start : pb.theta_slice.start + pb.dim] = wf * glr
+        g_rep[keep, pb.theta_slice] = _pathwise_terms(
+            pb, bank, bd, plan.theta, gf[:, sl], lz_full[:, sl], weight=weight
+        )
+        glr = _glr_psi(bd.eps, bank.eff_shapes[None], bank.psi_eff[None])
+        g_cor[keep, pb.theta_slice.start : pb.theta_slice.start + pb.dim] = wf * glr
     return g_rep, g_cor, n_proposals
 
 
-def _log_ratio_vec(eps, alpha, log_m):
+def _log_ratio_vec(eps, y, alpha, log_m):
     """Vectorized target/proposal log-ratio at the effective shapes.
 
-    log_M (the bank's envelope constant, the ratio's value at its mode eps
-    = 0) plus the Marsaglia-Tsang kernel log_ratio - log_M.
+    y = 1 + eps / sqrt(9 alpha - 3). log_M (the bank's envelope constant,
+    the ratio's value at its mode eps = 0) plus the Marsaglia-Tsang kernel
+    log_ratio - log_M.
     """
     d = alpha - 1.0 / 3.0
-    s = np.sqrt(9.0 * alpha - 3.0)
-    y = 1.0 + eps / s
     v = y * y * y
     return log_m + 0.5 * eps * eps + d * (1.0 - v + 3.0 * np.log(y))
 
 
 _DRAW_FNS = {
-    "rsvi": _one_draw_rsvi,
-    "score_function": _one_draw_score,
-    "importance": _one_draw_importance,
+    "rsvi": _draw_rsvi,
+    "score_function": _draw_score,
+    "importance": _draw_importance,
 }
 
 
-def _run_estimator(model, theta, cfg, stream, kind):
-    blocks, n_params = param_layout(model)
-    theta = _check_theta(theta, n_params)
-    _, g_entropy = _entropy_parts(blocks, theta)
-    rep_acc = np.zeros(n_params)
-    cor_acc = np.zeros(n_params)
-    trials = 0
-    draw_fn = _DRAW_FNS[kind]
-    for _ in range(cfg.draws):
-        g_rep, g_cor, t = draw_fn(model, blocks, model.n_latents, theta, cfg, stream)
-        rep_acc += g_rep
-        cor_acc += g_cor
+def _estimate_rows(plan, rows):
+    """One estimate per stream of `rows`: (g_rep, g_cor, total, trials) by row.
+
+    Row g is the estimate `estimate` makes from stream g alone: every
+    operation here acts row by row, the model runs once per row, and the
+    draws of a replicate come one after another from its stream.
+    """
+    g_rep = np.zeros((rows.size, plan.n_params))
+    g_cor = np.zeros((rows.size, plan.n_params))
+    trials = np.zeros(rows.size, dtype=np.int64)
+    draw_fn = _DRAW_FNS[plan.cfg.kind]
+    # a draw starts where the previous one's rejection rounds left each
+    # stream, so the draws run in turn rather than side by side
+    for _ in range(plan.cfg.draws):
+        rep, cor, t = draw_fn(plan, rows)
+        g_rep += rep
+        g_cor += cor
         trials += t
-    g_rep = rep_acc / cfg.draws
-    g_cor = cor_acc / cfg.draws
-    total = g_rep + g_cor + g_entropy
+    g_rep /= plan.cfg.draws
+    g_cor /= plan.cfg.draws
+    total = g_rep + g_cor + plan.g_entropy[None]
     if not np.isfinite(total).all():
         raise DomainError("estimate rejected: non-finite gradient component")
+    return g_rep, g_cor, total, trials
+
+
+def _run_estimator(model, theta, cfg, stream):
+    plan = _plan(model, theta, cfg)
+    rows = StreamBatch.of((stream,))
+    try:
+        g_rep, g_cor, total, trials = _estimate_rows(plan, rows)
+    finally:
+        rows.sync()
     return GradientEstimate(
-        g_rep=g_rep,
-        g_cor=g_cor,
-        g_entropy=g_entropy,
-        total=total,
+        g_rep=g_rep[0],
+        g_cor=g_cor[0],
+        g_entropy=plan.g_entropy,
+        total=total[0],
         draws=cfg.draws,
-        trials=trials,
+        trials=int(trials[0]),
     )
 
 
@@ -459,7 +510,7 @@ def estimate_gradient(model, theta, cfg: EstimatorConfig, stream: RandomStream) 
     """
     if cfg.kind != "rsvi":
         raise ContractError(f"estimate_gradient runs kind='rsvi', got {cfg.kind!r}")
-    return _run_estimator(model, theta, cfg, stream, "rsvi")
+    return _run_estimator(model, theta, cfg, stream)
 
 
 def estimate_gradient_score(model, theta, cfg, stream) -> GradientEstimate:
@@ -470,38 +521,44 @@ def estimate_gradient_score(model, theta, cfg, stream) -> GradientEstimate:
     """
     if cfg.kind != "score_function":
         raise ContractError("estimate_gradient_score runs kind='score_function'")
-    return _run_estimator(model, theta, cfg, stream, "score_function")
+    return _run_estimator(model, theta, cfg, stream)
 
 
 def estimate_gradient_importance(model, theta, cfg, stream) -> GradientEstimate:
     """Importance-weighted estimator with weights prod q/r over all latents."""
     if cfg.kind != "importance":
         raise ContractError("estimate_gradient_importance runs kind='importance'")
-    return _run_estimator(model, theta, cfg, stream, "importance")
+    return _run_estimator(model, theta, cfg, stream)
 
 
 def estimate(model, theta, cfg: EstimatorConfig, stream: RandomStream) -> GradientEstimate:
     """Dispatch on cfg.kind."""
-    return _run_estimator(model, theta, cfg, stream, cfg.kind)
+    return _run_estimator(model, theta, cfg, stream)
 
 
 def variance_profile(model, theta, cfg, G: int, stream: RandomStream) -> VarianceProfile:
-    """Per-parameter sample variance over G independent estimates.
+    """Per-parameter sample mean and variance over G independent estimates.
 
-    Replicate g uses the child stream stream.child(g), so profiles are
-    reproducible and replicates could run in parallel.
+    Replicate g draws from the child stream stream.child(g), so profiles
+    are reproducible; `stream` itself is not advanced. The replicates are
+    evaluated together, in chunks of about _CHUNK_DRAWS latent draws, and
+    each one's total is bit-identical to
+    estimate(model, theta, cfg, stream.child(g)).total.
     """
     G = int(G)
     if G < 2:
         raise ContractError("variance_profile needs G >= 2 replicates")
-    blocks, n_params = param_layout(model)
-    totals = np.empty((G, n_params))
-    for g in range(G):
-        totals[g] = estimate(model, theta, cfg, stream.child(g)).total
+    plan = _plan(model, theta, cfg)
+    per_chunk = max(1, _CHUNK_DRAWS // model.n_latents)
+    totals = np.empty((G, plan.n_params))
+    for lo in range(0, G, per_chunk):
+        hi = min(G, lo + per_chunk)
+        totals[lo:hi] = _estimate_rows(plan, StreamBatch.children(stream, lo, hi))[2]
     variances = totals.var(axis=0, ddof=1)
     # identical replicates have zero variance by definition, not roundoff dust
     variances[np.ptp(totals, axis=0) == 0.0] = 0.0
     return VarianceProfile(
+        means=totals.mean(axis=0),
         variances=variances,
         vmin=float(variances.min()),
         vmedian=float(np.median(variances)),

@@ -24,6 +24,7 @@ __all__ = [
     "std_normal_inv_cdf",
     "kolmogorov_sf",
     "RandomStream",
+    "StreamBatch",
     "draw_uniform",
     "draw_std_normal",
     "finite_diff_grad",
@@ -460,9 +461,33 @@ def _mix(x: int) -> int:
 
 
 def _mix_np(x: np.ndarray) -> np.ndarray:
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-    return x ^ (x >> np.uint64(31))
+    # wraps modulo 2**64; numpy does not flag integer overflow on arrays.
+    # In place after the first step, so a large block holds two arrays at once.
+    x = x ^ (x >> np.uint64(30))
+    x *= np.uint64(_MIX1)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_MIX2)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _stream_words(bases, counters, offsets) -> np.ndarray:
+    """Output words number ``counters + offsets`` of the streams keyed by ``bases``.
+
+    The word kernel of every stream: word i of the stream with key base is
+    ``mix(base + i * GOLDEN)``. The three uint64 arguments broadcast
+    together, so one call serves one stream (scalar base and counter) or
+    many (one base and counter per stream, gathered per word).
+    """
+    return _mix_np(bases + (counters + offsets) * np.uint64(_GOLDEN))
+
+
+def _open_unit(words: np.ndarray) -> np.ndarray:
+    """Doubles strictly inside (0, 1) from the top 53 bits of each word."""
+    u = (words >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 class RandomStream:
@@ -520,11 +545,11 @@ class RandomStream:
         return _mix((self._base + self._counter * _GOLDEN) & _MASK64)
 
     def _next_u64_block(self, n: int) -> np.ndarray:
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        words = _stream_words(
+            np.uint64(self._base), np.uint64(self._counter), np.arange(1, n + 1, dtype=np.uint64)
+        )
         self._counter += n
-        with np.errstate(over="ignore"):
-            state = np.uint64(self._base) + idx * np.uint64(_GOLDEN)
-            return _mix_np(state)
+        return words
 
     def uniform(self) -> float:
         """One double in [0, 1) with 53 random bits."""
@@ -541,11 +566,71 @@ class RandomStream:
         return (self._next_u64_block(int(n)) >> np.uint64(11)) * 2.0**-53
 
     def uniforms_open(self, n: int) -> np.ndarray:
-        raw = self._next_u64_block(int(n)) >> np.uint64(11)
-        return (raw.astype(np.float64) + 0.5) * 2.0**-53
+        return _open_unit(self._next_u64_block(int(n)))
 
     def std_normals(self, n: int) -> np.ndarray:
         return _ppnd_array(self.uniforms_open(n))
+
+
+class StreamBatch:
+    """Several :class:`RandomStream` positions advanced together.
+
+    Row s of every block is exactly what the same call on stream s alone
+    would return, and each stream's counter moves as it would alone, so a
+    batch of streams reproduces a loop over them word for word. The
+    streams' keys and counters live in uint64 arrays; ``bases[s]`` and
+    ``counters[s]`` may be gathered per word for ragged draws, where
+    stream s takes its own number of words (see ``_stream_words``).
+    :meth:`sync` writes the counters back to the RandomStream objects the
+    batch was made from.
+    """
+
+    __slots__ = ("bases", "counters", "_streams")
+
+    def __init__(self, bases, counters, streams=()):
+        self.bases = np.asarray(bases, dtype=np.uint64)
+        self.counters = np.array(counters, dtype=np.uint64)
+        self._streams = tuple(streams)
+
+    @classmethod
+    def of(cls, streams) -> "StreamBatch":
+        """A batch over existing streams, starting at their counters."""
+        streams = tuple(streams)
+        return cls([s._base for s in streams], [s._counter for s in streams], streams)
+
+    @classmethod
+    def children(cls, stream: RandomStream, start: int, stop: int) -> "StreamBatch":
+        """Fresh child streams ``stream.child(i)`` for i in [start, stop).
+
+        Derives the keys of :meth:`RandomStream.child` with the vectorized
+        finalizer, so no per-child object is built.
+        """
+        if not 0 <= start <= stop:
+            raise DomainError("children needs 0 <= start <= stop")
+        idx = np.arange(start + 1, stop + 1, dtype=np.uint64)
+        derived = _mix_np(np.uint64((stream.stream_id * _GOLDEN) & _MASK64) + idx)
+        bases = _mix_np(np.uint64(_mix(stream.seed)) ^ _mix_np(derived ^ np.uint64(_GOLDEN)))
+        return cls(bases, np.zeros(stop - start, dtype=np.uint64))
+
+    @property
+    def size(self) -> int:
+        return self.bases.size
+
+    def uniforms_open(self, n: int) -> np.ndarray:
+        """The next n open-interval uniforms of every stream: (size, n)."""
+        n = int(n)
+        offsets = np.arange(1, n + 1, dtype=np.uint64)
+        words = _stream_words(self.bases[:, None], self.counters[:, None], offsets)
+        self.counters += np.uint64(n)
+        return _open_unit(words)
+
+    def std_normals(self, n: int) -> np.ndarray:
+        return _ppnd_array(self.uniforms_open(n))
+
+    def sync(self) -> None:
+        """Write the counters back to the streams the batch was made from."""
+        for stream, counter in zip(self._streams, self.counters.tolist()):
+            stream._counter = counter
 
 
 def draw_uniform(stream: RandomStream) -> float:

@@ -25,7 +25,15 @@ import numpy as np
 
 from .distributions import DirichletParams, GammaParams, gamma_log_pdf
 from .exceptions import DomainError, SamplerStallError
-from .mathcore import RandomStream, _ppnd_array as _ppnd, digamma, log_gamma_fn
+from .mathcore import (
+    RandomStream,
+    StreamBatch,
+    _open_unit,
+    _ppnd_array as _ppnd,
+    _stream_words,
+    digamma,
+    log_gamma_fn,
+)
 
 __all__ = [
     "DEFAULT_TRIAL_BUDGET",
@@ -302,6 +310,8 @@ class SamplerBank:
     uniforms for all elements (rows past an element's own step count are
     discarded). Deterministic for a given stream, but a different
     consumption order than repeated scalar `sample_gamma_eps` calls.
+    `draw` and `draw_batch` are the one-stream case of `draw_streams`,
+    which draws from many streams at once with that layout on each.
     """
 
     shapes: np.ndarray
@@ -320,10 +330,22 @@ class SamplerBank:
         return int(self.b_steps.max()) if self.size else 0
 
     def draw(self, stream: RandomStream, max_trials: int = DEFAULT_TRIAL_BUDGET) -> "BankDraw":
-        eps, h, aug_dsum, log_z, trials, aug_u = _draw_flat(
-            self.eff_shapes, self.shapes, self.b_steps, self.rates, stream, max_trials
+        rows = StreamBatch.of((stream,))
+        try:
+            eps, h, aug_dsum, log_z, trials, aug_u = _draw_rows(
+                self.eff_shapes, self.shapes, self.b_steps, self.rates, rows, max_trials
+            )
+        finally:
+            rows.sync()
+        return BankDraw(
+            eps=eps[0], h=h[0], aug_dsum=aug_dsum[0], log_z=log_z[0], trials=trials[0], aug_u=aug_u[0]
         )
-        return BankDraw(eps=eps, h=h, aug_dsum=aug_dsum, log_z=log_z, trials=trials, aug_u=aug_u)
+
+    def draw_streams(self, streams: StreamBatch, max_trials: int = DEFAULT_TRIAL_BUDGET) -> "BankDraw":
+        """One draw per element from each stream; every field gets a leading
+        stream axis, and row s equals `draw` on stream s alone."""
+        fields = _draw_rows(self.eff_shapes, self.shapes, self.b_steps, self.rates, streams, max_trials)
+        return BankDraw(*fields)
 
     def draw_batch(
         self, stream: RandomStream, n: int, max_trials: int = DEFAULT_TRIAL_BUDGET
@@ -336,7 +358,11 @@ class SamplerBank:
             empty = np.empty((0, self.size))
             return BatchDraw(eps=empty, log_z=empty, trials=np.empty((0, self.size), dtype=np.int64))
         tiled = (np.tile(a, n) for a in (self.eff_shapes, self.shapes, self.b_steps, self.rates))
-        eps, _h, _aug_dsum, log_z, trials, _aug_u = _draw_flat(*tiled, stream, max_trials)
+        rows = StreamBatch.of((stream,))
+        try:
+            eps, _h, _aug_dsum, log_z, trials, _aug_u = _draw_rows(*tiled, rows, max_trials)
+        finally:
+            rows.sync()
         return BatchDraw(
             eps=eps.reshape(n, self.size),
             log_z=log_z.reshape(n, self.size),
@@ -344,17 +370,22 @@ class SamplerBank:
         )
 
 
-def _draw_flat(eff_shapes, shapes, b_steps, rates, stream: RandomStream, max_trials: int):
-    """One log-space draw per element of flat parameter arrays.
+def _draw_rows(eff_shapes, shapes, b_steps, rates, streams: StreamBatch, max_trials: int):
+    """One log-space draw per element of flat parameter arrays, from each stream.
 
-    Consumes the stream as the rejection rounds, then max(b_steps) rows of
-    augmentation uniforms. Returns (eps, h, aug_dsum, log_z, trials, aug_u).
+    Each stream is consumed as its rejection rounds, then max(b_steps) rows
+    of augmentation uniforms. Returns (eps, h, aug_dsum, log_z, trials,
+    aug_u), each with one leading row per stream; aug_u is
+    (streams, max_b, elements).
     """
-    eps, trials = _rejection_rounds(eff_shapes, stream, max_trials)
+    eps, trials = _rejection_rounds(eff_shapes, streams, max_trials)
+    max_b = int(b_steps.max()) if b_steps.size else 0
+    aug_u = streams.uniforms_open(max_b * shapes.size).reshape(streams.size, max_b, shapes.size)
+    # parameters as (1, elements) rows: with one stream every operation
+    # below then meets equal shapes, which numpy runs without broadcasting
+    eff_shapes, shapes, b_steps, rates = eff_shapes[None], shapes[None], b_steps[None], rates[None]
     y = 1.0 + eps / np.sqrt(9.0 * eff_shapes - 3.0)
     h = (eff_shapes - 1.0 / 3.0) * (y * y * y)
-    max_b = int(b_steps.max()) if b_steps.size else 0
-    aug_u = stream.uniforms_open(max_b * shapes.size).reshape(max_b, shapes.size)
     log_prod_u, aug_dsum = _augment(shapes, b_steps, aug_u)
     log_z = np.log(h) + log_prod_u - np.log(rates)
     return eps, h, aug_dsum, log_z, trials, aug_u
@@ -400,37 +431,50 @@ class BatchDraw:
 def _augment(shapes: np.ndarray, b_steps: np.ndarray, aug_u: np.ndarray):
     """Log augmentation product and its shape derivative.
 
-    Row j of `aug_u` holds one uniform per element; it enters element i only
-    while j < b_steps[i]. Returns (sum_j ln(u_j)/(shape + j),
+    Row j of `aug_u` (its second-to-last axis; leading axes are streams)
+    holds one uniform per element; it enters element i only while
+    j < b_steps[i]. Returns (sum_j ln(u_j)/(shape + j),
     sum_j -ln(u_j)/(shape + j)^2), the log of prod_j u_j^(1/(shape + j))
     and its derivative in the shape.
     """
-    log_prod_u = np.zeros(shapes.shape)
-    aug_dsum = np.zeros(shapes.shape)
-    for j in range(aug_u.shape[0]):
-        step = np.where(j < b_steps, np.log(aug_u[j]) / (shapes + j), 0.0)
+    log_prod_u = np.zeros(aug_u.shape[:-2] + aug_u.shape[-1:])
+    aug_dsum = np.zeros(log_prod_u.shape)
+    for j in range(aug_u.shape[-2]):
+        step = np.where(j < b_steps, np.log(aug_u[..., j, :]) / (shapes + j), 0.0)
         log_prod_u += step
         aug_dsum -= step / (shapes + j)
     return log_prod_u, aug_dsum
 
 
-def _rejection_rounds(eff_shapes: np.ndarray, stream: RandomStream, max_trials: int):
-    """Vectorized propose/accept rounds; one accepted eps per element."""
+def _rejection_rounds(eff_shapes: np.ndarray, streams: StreamBatch, max_trials: int):
+    """Vectorized propose/accept rounds; one accepted eps per element and stream.
+
+    Every stream owns one row of eff_shapes.size elements. A round takes
+    one block of 2m words from each stream with m active elements: the
+    first m give the proposals' normals and the last m the accept
+    uniforms, both in element order. A stream's words therefore do not
+    depend on the other streams. Returns (eps, trials), (streams, elements).
+    """
     k = eff_shapes.size
-    d = eff_shapes - 1.0 / 3.0
-    s = np.sqrt(9.0 * eff_shapes - 3.0)
-    eps = np.empty(k)
-    trials = np.zeros(k, dtype=np.int64)
-    active = np.arange(k)
+    n_streams = streams.size
+    shapes = eff_shapes if n_streams == 1 else np.tile(eff_shapes, n_streams)
+    d = shapes - 1.0 / 3.0
+    s = np.sqrt(9.0 * shapes - 3.0)
+    eps = np.empty(shapes.size)
+    trials = np.zeros(shapes.size, dtype=np.int64)
+    active = np.arange(shapes.size)
     rounds = 0
     while active.size:
+        if rounds >= max_trials:
+            shape = float(shapes[active[0]])
+            raise SamplerStallError(shape, float(_log_m_at_mode(shape)), rounds)
         rounds += 1
-        if rounds > max_trials:
-            raise SamplerStallError(float(eff_shapes[active[0]]), None, rounds)
-        m = active.size
-        blk = stream.uniforms_open(2 * m)
-        e = _ppnd(blk[:m])
-        u = blk[m:]
+        if n_streams == 1:
+            # a lone stream's block is simply its next 2m words
+            e, u = streams.uniforms_open(2 * active.size).reshape(2, active.size)
+        else:
+            e, u = _round_uniforms(active // k, streams)
+        e = _ppnd(e)
         y = 1.0 + e / s[active]
         ok = y > 0.0
         ysafe = np.where(ok, y, 1.0)
@@ -441,7 +485,25 @@ def _rejection_rounds(eff_shapes: np.ndarray, stream: RandomStream, max_trials: 
         trials[active] += 1
         eps[active[accept]] = e[accept]
         active = active[~accept]
-    return eps, trials
+    return eps.reshape(n_streams, k), trials.reshape(n_streams, k)
+
+
+def _round_uniforms(owner: np.ndarray, streams: StreamBatch) -> np.ndarray:
+    """The uniforms of one rejection round over many streams, (2, active).
+
+    owner[i] is the stream of the i-th active element, in ascending order.
+    A stream with m active elements gives its next 2m words: the first m
+    to its elements' proposals, the last m to their accept tests. Row 0
+    holds the proposals' uniforms and row 1 the accept uniforms, both in
+    active order.
+    """
+    m = np.bincount(owner, minlength=streams.size).astype(np.uint64)
+    # the i-th active element proposes with word counter + i + 1 - (start of its stream's run)
+    first = streams.counters - (np.cumsum(m) - m)
+    i = np.arange(1, owner.size + 1, dtype=np.uint64)
+    words = _stream_words(streams.bases[owner], first[owner], np.stack([i, i + m[owner]]))
+    streams.counters += np.uint64(2) * m
+    return _open_unit(words)
 
 
 def _as_param_tuple(values, k: int, name: str) -> tuple:

@@ -112,7 +112,12 @@ def test_criterion_02_sampler_marginals():
 
 
 def test_criterion_03_gradient_unbiasedness(conj, conj_spec):
-    """Mean of 1e5 one-sample estimates within 4 SE of the exact gradient."""
+    """Mean of 1e5 one-sample estimates within 4 SE of the exact gradient.
+
+    Estimate i runs on RandomStream(seed, 0).child(i); variance_profile
+    evaluates those replicates together, and each one's total is
+    bit-identical to estimate on the same child stream.
+    """
     t0 = time.perf_counter()
     theta = np.array([1.4, 0.8, 2.2, 1.0, 3.0])
     exact = conjugate_exact_elbo_grad(conj, DirichletParams(theta))
@@ -120,12 +125,9 @@ def test_criterion_03_gradient_unbiasedness(conj, conj_spec):
     worst = {}
     for kind, seed in (("rsvi", 11), ("score_function", 12), ("importance", 13)):
         cfg = EstimatorConfig(kind=kind, aug_b=1)
-        root = RandomStream(seed, 0)
-        totals = np.empty((n, 5))
-        for i in range(n):
-            totals[i] = estimate(conj_spec, theta, cfg, root.child(i)).total
-        se = totals.std(axis=0, ddof=1) / math.sqrt(n)
-        worst[kind] = float(np.max(np.abs(totals.mean(axis=0) - exact) / se))
+        prof = variance_profile(conj_spec, theta, cfg, n, RandomStream(seed, 0))
+        se = np.sqrt(prof.variances) / math.sqrt(n)
+        worst[kind] = float(np.max(np.abs(prof.means - exact) / se))
     elapsed = time.perf_counter() - t0
     ok = all(w <= 4.0 for w in worst.values()) and elapsed < 120.0
     detail = ", ".join(f"{k}: max|z|={w:.2f}" for k, w in worst.items())

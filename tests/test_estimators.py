@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from rsvi import estimators
 from rsvi.estimators import (
+    ESTIMATOR_KINDS,
     EstimatorConfig,
+    default_theta_init,
     entropy_total,
     estimate,
     estimate_elbo,
@@ -226,6 +229,47 @@ class TestVarianceProfile:
         v10 = variance_profile(conj5_spec, theta5, EstimatorConfig("rsvi", 1, draws=10), g, RandomStream(2, 1))
         ratio = v1.vmedian / v10.vmedian
         assert 10.0 / 1.2 <= ratio <= 10.0 * 1.2
+
+
+class TestReplicateBatch:
+    """variance_profile evaluates its replicates together; each replicate's
+    total must equal `estimate` on the same child stream, bit for bit."""
+
+    @pytest.mark.parametrize("draws", [1, 3])
+    @pytest.mark.parametrize("B", [0, 1, 4])
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    @pytest.mark.parametrize("model", ["conj5", "def_small"])
+    def test_profile_matches_one_at_a_time(self, request, monkeypatch, model, kind, B, draws):
+        # conj5 at theta5 forces an augmentation step on its 0.8 shape;
+        # def_small has several gamma_mean_shape blocks
+        if model == "conj5":
+            spec, theta = request.getfixturevalue("conj5_spec"), request.getfixturevalue("theta5")
+        else:
+            spec = request.getfixturevalue("def_small_spec")
+            theta = default_theta_init(spec)
+        cfg = EstimatorConfig(kind, aug_b=B, draws=draws)
+        # one chunk boundary falls inside the batch
+        G = estimators._CHUNK_DRAWS // spec.n_latents + 3
+        root = RandomStream(61, 2)
+        loop = np.array([estimate(spec, theta, cfg, root.child(g)).total for g in range(G)])
+
+        chunks = []
+        batch_rows = estimators._estimate_rows
+
+        def recording(plan, rows):
+            out = batch_rows(plan, rows)
+            chunks.append(out[2])
+            return out
+
+        monkeypatch.setattr(estimators, "_estimate_rows", recording)
+        prof = variance_profile(spec, theta, cfg, G, root)
+        assert [c.shape[0] for c in chunks] == [G - 3, 3]
+        assert np.array_equal(np.concatenate(chunks), loop)
+        assert np.array_equal(prof.means, loop.mean(axis=0))
+        variances = loop.var(axis=0, ddof=1)
+        variances[np.ptp(loop, axis=0) == 0.0] = 0.0
+        assert np.array_equal(prof.variances, variances)
+        assert root.counter == 0
 
 
 class TestElbo:

@@ -8,6 +8,7 @@ from scipy import special, stats
 from rsvi.exceptions import DomainError
 from rsvi.mathcore import (
     RandomStream,
+    StreamBatch,
     digamma,
     draw_std_normal,
     draw_uniform,
@@ -171,6 +172,22 @@ class TestRandomStream:
         assert len(set(seqs)) == len(seqs)
         c1, c2 = RandomStream(4, 0).child(3), RandomStream(4, 0).child(3)
         assert np.array_equal(c1.uniforms(16), c2.uniforms(16))
+
+    def test_batch_rows_are_the_streams(self):
+        parent = RandomStream(2**64 - 1, 2**63 + 5)
+        parent.uniforms(3)  # a parent's own counter does not reach its children
+        kids = [parent.child(i) for i in range(4, 9)]
+        kids[1].uniforms(7)
+        batch = StreamBatch.of(kids)
+        fresh = StreamBatch.children(parent, 4, 9)
+        assert np.array_equal(fresh.bases, batch.bases)
+        normals, uniforms = batch.std_normals(6), batch.uniforms_open(3)
+        assert np.array_equal(fresh.std_normals(6)[0], normals[0])
+        for g, kid in enumerate(kids):
+            assert np.array_equal(normals[g], kid.std_normals(6))
+            assert np.array_equal(uniforms[g], kid.uniforms_open(3))
+        batch.sync()
+        assert [k.counter for k in kids] == [9, 16, 9, 9, 9]
 
     def test_open_uniforms_strictly_inside(self):
         u = RandomStream(2, 0).uniforms_open(10**5)

@@ -8,7 +8,7 @@ from scipy import integrate, special, stats
 from rsvi.distributions import DirichletParams, GammaParams
 from rsvi.estimators import EstimatorConfig, estimate
 from rsvi.exceptions import DomainError, SamplerStallError
-from rsvi.mathcore import RandomStream, finite_diff_grad
+from rsvi.mathcore import RandomStream, StreamBatch, finite_diff_grad
 from rsvi.models import LatentBlock, ModelSpec
 from rsvi.rejection import (
     AcceptedDraw,
@@ -211,6 +211,45 @@ class TestBankSampler:
         bank = make_sampler_bank(np.array([2.0]), 1.0, 0)
         batch = bank.draw_batch(RandomStream(1, 0), 0)
         assert batch.z.shape == (0, 1)
+
+    def test_stall_reports_rounds_run_and_envelope(self):
+        bank = make_sampler_bank(np.array([2.0, 3.0]), 1.0, 0)
+        stream = RandomStream(0, 0)
+        with pytest.raises(SamplerStallError) as info:
+            bank.draw(stream, max_trials=0)
+        assert info.value.trials == 0 and stream.counter == 0
+        assert info.value.shape == 2.0
+        assert info.value.log_m == pytest.approx(envelope_log_M(2.0), abs=1e-9)
+        # the scalar path reports the same budget and envelope
+        with pytest.raises(SamplerStallError) as scalar:
+            sample_gamma_eps(make_gamma_sampler(GammaParams(2.0, 1.0), 0), RandomStream(0, 0), max_trials=0)
+        assert scalar.value.trials == 0
+        assert scalar.value.log_m == pytest.approx(info.value.log_m, abs=1e-9)
+
+    def test_stall_after_one_round(self):
+        # at shape 1 about 5% of proposals reject, so 500 elements need a second round
+        bank = make_sampler_bank(np.array([1.0]), 1.0, 0)
+        stream = RandomStream(4, 0)
+        with pytest.raises(SamplerStallError) as info:
+            bank.draw_batch(stream, 500, max_trials=1)
+        assert info.value.trials == 1 and info.value.shape == 1.0
+        assert info.value.log_m == pytest.approx(envelope_log_M(1.0), abs=1e-9)
+        assert stream.counter == 2 * 500  # one round ran: a normal and a uniform each
+
+    def test_streams_match_one_at_a_time(self):
+        # second rounds at shape 1, and a row of augmentation uniforms for
+        # the step that shape 0.3 forces
+        bank = make_sampler_bank(np.array([0.3, 1.0, 1.0, 2.5, 1.0]), np.array([1.0, 2.0, 0.5, 1.0, 3.0]), 0)
+        root = RandomStream(12, 5)
+        rows = StreamBatch.children(root, 0, 40)
+        together = bank.draw_streams(rows)
+        assert together.trials.max() >= 2
+        for g in range(40):
+            alone = RandomStream(12, 5).child(g)
+            bd = bank.draw(alone)
+            for field in ("eps", "h", "aug_dsum", "log_z", "trials", "aug_u"):
+                assert np.array_equal(getattr(together, field)[g], getattr(bd, field)), field
+            assert int(rows.counters[g]) == alone.counter
 
 
 class TestLogSpaceDraws:
