@@ -13,7 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ContractError, DomainError
-from .mathcore import digamma, log_gamma_fn, trigamma
+from .mathcore import (
+    _digamma_scalar,
+    _gamma_fns,
+    _lgamma_scalar,
+    _trigamma_scalar,
+    digamma,
+    log_gamma_fn,
+    trigamma,
+)
 
 __all__ = [
     "GammaParams",
@@ -182,22 +190,31 @@ def dirichlet_log_pdf(z, p: DirichletParams) -> float:
 
 
 def dirichlet_entropy(p: DirichletParams) -> float:
-    a = p.conc
-    a0 = float(a.sum())
-    k = a.size
-    return (
-        float(np.sum(log_gamma_fn(a)))
-        - log_gamma_fn(a0)
-        + (a0 - k) * digamma(a0)
-        - float(np.dot(a - 1.0, digamma(a)))
-    )
+    lg, psi, _ = _gamma_fns(p.conc, lgamma=True, psi=True)
+    return _dirichlet_entropy(p.conc, lg, psi)
 
 
 def dirichlet_entropy_grad(p: DirichletParams) -> np.ndarray:
-    a = p.conc
+    return _dirichlet_entropy_grad(p.conc, _gamma_fns(p.conc, psi1=True)[2])
+
+
+def _dirichlet_entropy(a: np.ndarray, lg_a: np.ndarray, psi_a: np.ndarray) -> float:
+    """Entropy at concentrations a, given ln Gamma(a) and psi(a)."""
     a0 = float(a.sum())
     k = a.size
-    return (a0 - k) * trigamma(a0) - (a - 1.0) * trigamma(a)
+    return (
+        float(np.sum(lg_a))
+        - _lgamma_scalar(a0)
+        + (a0 - k) * _digamma_scalar(a0)
+        - float(np.dot(a - 1.0, psi_a))
+    )
+
+
+def _dirichlet_entropy_grad(a: np.ndarray, psi1_a: np.ndarray) -> np.ndarray:
+    """Entropy gradient at concentrations a, given psi'(a)."""
+    a0 = float(a.sum())
+    k = a.size
+    return (a0 - k) * _trigamma_scalar(a0) - (a - 1.0) * psi1_a
 
 
 def dirichlet_kl(p: DirichletParams, q: DirichletParams) -> float:

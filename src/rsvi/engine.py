@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EstimatorConfig, estimate, estimate_elbo, param_layout
+from .estimators import EstimatorConfig, ThetaState, estimate, estimate_elbo, param_layout
 from .exceptions import DomainError, OptimizerAbortError
 from .mathcore import RandomStream
 
@@ -152,6 +152,10 @@ def run_rsvi(model, theta_init, cfg: RunConfig, stream: RandomStream):
     iterate whose gradient and ELBO were both finite, and no trace record
     is written. max_failures consecutive failed iterations abort with an
     OptimizerAbortError that carries that iterate and the partial trace.
+
+    Each iterate's ThetaState is built once, by the iteration whose step
+    reaches it, and serves both that step's ELBO and the next iteration's
+    gradient estimate.
     """
     blocks, n_params = param_layout(model)
     theta0 = np.asarray(theta_init, dtype=float)
@@ -163,27 +167,30 @@ def run_rsvi(model, theta_init, cfg: RunConfig, stream: RandomStream):
     elbos: list[float] = []
     n_latents = model.n_latents
     failures = 0
+    at_phi = None  # the ThetaState of softplus(phi), once built
     start = time.perf_counter()
     for it in range(1, cfg.max_iters + 1):
-        theta = softplus(phi)
         try:
-            est = estimate(model, theta, cfg.estimator, stream.child(2 * it))
+            if at_phi is None:
+                at_phi = ThetaState(model, softplus(phi))
+            est = estimate(model, at_phi.theta, cfg.estimator, stream.child(2 * it), state=at_phi)
             g_phi = est.total * softplus_jacobian(phi)
             rho, next_state = step_size(state, g_phi)
             next_phi = phi + rho * g_phi
-            elbo = estimate_elbo(model, softplus(next_phi), cfg.elbo_draws, stream.child(2 * it + 1))
+            at_next = ThetaState(model, softplus(next_phi))
+            elbo = estimate_elbo(model, at_next.theta, cfg.elbo_draws, stream.child(2 * it + 1), state=at_next)
         except (DomainError, RuntimeError) as exc:
             failures += 1
             log.warning("numerical failure at iteration %d (%d consecutive): %s", it, failures, exc)
             if failures >= cfg.max_failures:
                 raise OptimizerAbortError(
                     f"{failures} consecutive numerical failures at iteration {it}: {exc}",
-                    theta,
+                    softplus(phi),
                     trace,
                 ) from exc
             continue
         failures = 0
-        phi, state = next_phi, next_state
+        phi, state, at_phi = next_phi, next_state, at_next
         trace.append(
             TraceRecord(
                 iteration=it,

@@ -11,21 +11,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .distributions import DirichletParams, dirichlet_entropy, dirichlet_entropy_grad
+from .distributions import _dirichlet_entropy, _dirichlet_entropy_grad
 from .exceptions import ContractError, DomainError
-from .mathcore import RandomStream, StreamBatch, digamma, log_gamma_fn, trigamma
+from .mathcore import RandomStream, StreamBatch, _digamma_scalar, _gamma_fns, digamma
 from .models import ModelSpec
-from .rejection import BankDraw, _augment, dh_dalpha, make_sampler_bank
+from .rejection import BankDraw, _augment, _build_bank, dh_dalpha
 
 __all__ = [
     "EstimatorConfig",
     "GradientEstimate",
     "VarianceProfile",
     "ParamBlock",
+    "ThetaState",
     "param_layout",
     "default_theta_init",
     "grad_log_ratio_gamma",
@@ -143,19 +144,98 @@ def default_theta_init(model: ModelSpec) -> np.ndarray:
 
 
 def _check_theta(theta, n_params) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
+    theta = np.array(theta, dtype=float)
     if theta.shape != (n_params,):
         raise ContractError(f"theta must have shape ({n_params},), got {theta.shape}")
     if not (np.isfinite(theta).all() and (theta > 0.0).all()):
         raise DomainError("variational parameters must be positive and finite")
+    theta.flags.writeable = False
     return theta
 
 
-def _block_params(theta: np.ndarray, pb: ParamBlock):
-    seg = theta[pb.theta_slice]
-    if pb.family == "gamma_mean_shape":
-        return seg[: pb.dim], seg[pb.dim :]
-    return seg
+@dataclass(frozen=True)
+class BlockState:
+    """One parameter block at theta: the gamma shapes (or the Dirichlet
+    concentrations), the means (None for Dirichlet), the rates shape/mean
+    (ones for Dirichlet), and ln Gamma, digamma and trigamma of the shapes."""
+
+    pb: ParamBlock
+    shapes: np.ndarray
+    means: np.ndarray | None
+    rates: np.ndarray
+    lgamma: np.ndarray
+    psi: np.ndarray
+    psi1: np.ndarray
+
+
+class ThetaState:
+    """What estimates and ELBOs at one theta need from theta alone.
+
+    Building it checks theta (right shape, positive and finite, and every
+    derived rate shape/mean positive and finite), evaluates the special
+    functions of each block's shapes once, and the analytic entropy and
+    its gradient. `estimate` and `estimate_elbo` build one when none is
+    passed; `run_rsvi` builds one per iterate and passes it to the ELBO of
+    the step that reached the iterate and to the gradient estimate taken
+    there. `theta` is a read-only copy.
+    """
+
+    def __init__(self, model: ModelSpec, theta):
+        layout, n_params = param_layout(model)
+        self.model = model
+        self.theta = theta = _check_theta(theta, n_params)
+        self.n_params = n_params
+        self.blocks = []
+        self.g_entropy = np.zeros(n_params)
+        value = 0.0
+        for pb in layout:
+            seg = theta[pb.theta_slice]
+            if pb.family == "gamma_mean_shape":
+                shapes, means = seg[: pb.dim], seg[pb.dim :]
+                with np.errstate(over="ignore", under="ignore"):
+                    rates = shapes / means
+                if not (np.isfinite(rates).all() and (rates > 0.0).all()):
+                    raise DomainError("variational rates shape/mean must be positive and finite")
+            else:
+                shapes, means, rates = seg, None, np.full(pb.dim, 1.0)
+            bs = BlockState(pb, shapes, means, rates, *_gamma_fns(shapes, lgamma=True, psi=True, psi1=True))
+            self.blocks.append(bs)
+            grad = self.g_entropy[pb.theta_slice]
+            if pb.family == "gamma_mean_shape":
+                value += float(np.sum(shapes - np.log(rates) + bs.lgamma + (1.0 - shapes) * bs.psi))
+                grad[: pb.dim] = 1.0 + (1.0 - shapes) * bs.psi1 - 1.0 / shapes
+                grad[pb.dim :] = 1.0 / means
+            else:
+                value += _dirichlet_entropy(shapes, bs.lgamma, bs.psi)
+                grad[:] = _dirichlet_entropy_grad(shapes, bs.psi1)
+        self.entropy = value
+        self.g_entropy.flags.writeable = False
+
+    @cached_property
+    def score_consts(self) -> list:
+        """theta-only parts of the score vectors, one per block: ln rate -
+        psi(shape) for mean-shape blocks, psi(sum conc) - psi(conc) for
+        Dirichlet blocks."""
+        consts = []
+        for bs in self.blocks:
+            if bs.pb.family == "gamma_mean_shape":
+                consts.append(np.log(bs.rates) - bs.psi)
+            else:
+                consts.append(_digamma_scalar(float(bs.shapes.sum())) - bs.psi)
+        return consts
+
+    def banks(self, aug_b: int) -> list:
+        """One sampler bank per block: Gam(shape, shape/mean) or Gam(conc, 1)."""
+        return [_build_bank(bs.shapes, bs.rates, aug_b) for bs in self.blocks]
+
+
+def _state_for(model, theta, state) -> ThetaState:
+    """`state` if it was built for this model and theta; a new one if None."""
+    if state is None:
+        return ThetaState(model, theta)
+    if state.model is not model or not (state.theta is theta or np.array_equal(state.theta, theta)):
+        raise ContractError("the ThetaState passed was built for another model or theta")
+    return state
 
 
 def grad_log_ratio_gamma(eps, alpha):
@@ -186,68 +266,8 @@ def grad_log_ratio_gamma(eps, alpha):
     return float(out) if scalar else out
 
 
-def _entropy_parts(blocks, theta):
-    """Analytic entropy value and per-parameter gradient (memoized on theta)."""
-    layout_key = tuple((pb.family, pb.dim) for pb in blocks)
-    return _entropy_parts_cached(layout_key, tuple(float(t) for t in theta))
-
-
-@lru_cache(maxsize=1024)
-def _entropy_parts_cached(layout_key, theta_key):
-    theta = np.array(theta_key)
-    n = theta.size
-    grad = np.zeros(n)
-    value = 0.0
-    pos = 0
-    for family, dim in layout_key:
-        if family == "gamma_mean_shape":
-            shapes = theta[pos : pos + dim]
-            means = theta[pos + dim : pos + 2 * dim]
-            value += float(
-                np.sum(
-                    shapes
-                    - np.log(shapes / means)
-                    + _lgamma_vec(shapes)
-                    + (1.0 - shapes) * digamma(shapes)
-                )
-            )
-            grad[pos : pos + dim] = 1.0 + (1.0 - shapes) * trigamma(shapes) - 1.0 / shapes
-            grad[pos + dim : pos + 2 * dim] = 1.0 / means
-            pos += 2 * dim
-        else:
-            p = DirichletParams(theta[pos : pos + dim])
-            value += dirichlet_entropy(p)
-            grad[pos : pos + dim] = dirichlet_entropy_grad(p)
-            pos += dim
-    grad.flags.writeable = False
-    return value, grad
-
-
-@lru_cache(maxsize=1024)
-def _score_consts_cached(layout_key, theta_key):
-    """theta-only pieces of the score vectors, one entry per block."""
-    theta = np.array(theta_key)
-    consts = []
-    pos = 0
-    for family, dim in layout_key:
-        if family == "gamma_mean_shape":
-            shapes = theta[pos : pos + dim]
-            means = theta[pos + dim : pos + 2 * dim]
-            consts.append((np.log(shapes / means) - digamma(shapes), shapes, means))
-            pos += 2 * dim
-        else:
-            conc = theta[pos : pos + dim]
-            consts.append((digamma(float(conc.sum())) - digamma(conc), None, None))
-            pos += dim
-    return consts
-
-
-def _lgamma_vec(x):
-    return log_gamma_fn(np.asarray(x, dtype=float))
-
-
 def _glr_psi(eps, alpha, psi_alpha):
-    """grad_log_ratio_gamma with psi(alpha) supplied (bank-cached).
+    """grad_log_ratio_gamma with psi(alpha) supplied (the bank's psi_eff).
 
     The estimators pass alpha and psi(alpha) as (1, k) rows against
     (replicates, k) eps, so a single replicate needs no broadcasting.
@@ -261,14 +281,6 @@ def _glr_psi(eps, alpha, psi_alpha):
     return np.log(h) + (alpha - 1.0) * ha / h - ha - psi_alpha + 0.5 / d - 9.0 * eps / (y * s2 * s)
 
 
-def _make_bank(pb, theta, aug_b):
-    """The sampler bank for one block: Gam(shape, shape/mean) or Gam(conc, 1)."""
-    if pb.family == "gamma_mean_shape":
-        shapes, means = _block_params(theta, pb)
-        return make_sampler_bank(shapes, shapes / means, aug_b)
-    return make_sampler_bank(_block_params(theta, pb), 1.0, aug_b)
-
-
 # Latent draws per chunk of replicates in variance_profile. It bounds the
 # chunk's memory; results do not depend on it, because every replicate
 # draws from its own stream.
@@ -277,35 +289,26 @@ _CHUNK_DRAWS = 2**13
 
 @dataclass
 class _Plan:
-    """What an estimate needs that depends on theta alone, built once per call:
-    the block layout, one sampler bank per block, the analytic entropy
-    gradient and, for the score-function kind, its theta-only constants."""
+    """What an estimate needs besides its streams: the model, the
+    configuration, the state at theta and one sampler bank per block."""
 
     model: ModelSpec
     cfg: EstimatorConfig
-    theta: np.ndarray
-    blocks: list
-    n_params: int
+    state: ThetaState
     banks: list
-    g_entropy: np.ndarray
-    score_consts: list | None
+
+    @property
+    def n_params(self) -> int:
+        return self.state.n_params
 
 
-def _plan(model, theta, cfg) -> _Plan:
-    blocks, n_params = param_layout(model)
-    theta = _check_theta(theta, n_params)
-    _, g_entropy = _entropy_parts(blocks, theta)
-    banks = [_make_bank(pb, theta, cfg.aug_b) for pb in blocks]
-    consts = None
-    if cfg.kind == "score_function":
-        layout_key = tuple((pb.family, pb.dim) for pb in blocks)
-        consts = _score_consts_cached(layout_key, tuple(float(t) for t in theta))
-    return _Plan(model, cfg, theta, blocks, n_params, banks, g_entropy, consts)
+def _plan(model, state, cfg) -> _Plan:
+    return _Plan(model, cfg, state, state.banks(cfg.aug_b))
 
 
 def _sample_blocks(plan, rows):
     """One z per latent and replicate via the rejection banks; returns materials."""
-    return [(pb, bank, bank.draw_streams(rows)) for pb, bank in zip(plan.blocks, plan.banks)]
+    return [(bs, bank, bank.draw_streams(rows)) for bs, bank in zip(plan.state.blocks, plan.banks)]
 
 
 def _block_log_latents(pb, log_z):
@@ -318,8 +321,8 @@ def _block_log_latents(pb, log_z):
 def _latents_from_mats(mats, n_latents):
     """(replicates, n_latents) log latents, blocks in layout order."""
     lz_full = np.empty((mats[0][2].log_z.shape[0], n_latents))
-    for pb, _bank, bd in mats:
-        lz_full[:, pb.latent_slice] = _block_log_latents(pb, bd.log_z)
+    for bs, _bank, bd in mats:
+        lz_full[:, bs.pb.latent_slice] = _block_log_latents(bs.pb, bd.log_z)
     return lz_full
 
 
@@ -339,7 +342,7 @@ def _eval_model(model, lz_full):
     return f, gf
 
 
-def _pathwise_terms(pb, bank, bd, theta, g_block, lz_block, weight=None):
+def _pathwise_terms(bs, bank, bd, g_block, lz_block, weight=None):
     """g_rep contributions for one block: df/dlog z dot d log z / d theta.
 
     One row per replicate. The shape path runs through the transform
@@ -350,9 +353,8 @@ def _pathwise_terms(pb, bank, bd, theta, g_block, lz_block, weight=None):
     delta_kj - z_j. `weight` holds one importance weight per row.
     """
     dlogz1_da = dh_dalpha(bd.eps, bank.eff_shapes[None]) / bd.h + bd.aug_dsum
-    if pb.family == "gamma_mean_shape":
-        shapes, means = _block_params(theta, pb)
-        rep = np.concatenate([g_block * (dlogz1_da - 1.0 / shapes), g_block / means], axis=-1)
+    if bs.pb.family == "gamma_mean_shape":
+        rep = np.concatenate([g_block * (dlogz1_da - 1.0 / bs.shapes), g_block / bs.means], axis=-1)
     else:
         rep = (g_block - np.exp(lz_block) * g_block.sum(axis=-1, keepdims=True)) * dlogz1_da
     return rep if weight is None else rep * weight[:, None]
@@ -365,10 +367,11 @@ def _draw_rsvi(plan, rows):
     g_rep = np.zeros((rows.size, plan.n_params))
     g_cor = np.zeros((rows.size, plan.n_params))
     trials = np.zeros(rows.size, dtype=np.int64)
-    for pb, bank, bd in mats:
+    for bs, bank, bd in mats:
+        pb = bs.pb
         trials += bd.trials.sum(axis=1)
         sl = pb.latent_slice
-        g_rep[:, pb.theta_slice] = _pathwise_terms(pb, bank, bd, plan.theta, gf[:, sl], lz_full[:, sl])
+        g_rep[:, pb.theta_slice] = _pathwise_terms(bs, bank, bd, gf[:, sl], lz_full[:, sl])
         glr = _glr_psi(bd.eps, bank.eff_shapes[None], bank.psi_eff[None])
         g_cor[:, pb.theta_slice.start : pb.theta_slice.start + pb.dim] = f[:, None] * glr
     return g_rep, g_cor, trials
@@ -381,10 +384,12 @@ def _draw_score(plan, rows):
     f = f[:, None]
     g_cor = np.zeros((rows.size, plan.n_params))
     trials = np.zeros(rows.size, dtype=np.int64)
-    for (pb, _bank, bd), (const, shapes, means) in zip(mats, plan.score_consts):
+    for (bs, _bank, bd), const in zip(mats, plan.state.score_consts):
+        pb = bs.pb
         trials += bd.trials.sum(axis=1)
         lz = lz_full[:, pb.latent_slice]
         if pb.family == "gamma_mean_shape":
+            shapes, means = bs.shapes, bs.means
             d_rate = means - np.exp(lz)  # shape/rate - z with rate = shape/mean
             d_a = const + lz + d_rate / means
             d_mu = d_rate * (-shapes / (means * means))
@@ -405,7 +410,8 @@ def _draw_importance(plan, rows):
     drawn = []
     log_w = np.zeros(n_rows)
     valid = np.ones(n_rows, dtype=bool)
-    for pb, bank in zip(plan.blocks, plan.banks):
+    for bs, bank in zip(plan.state.blocks, plan.banks):
+        pb = bs.pb
         eps = rows.std_normals(pb.dim)
         eff = bank.eff_shapes
         y = 1.0 + eps / np.sqrt(9.0 * eff - 3.0)
@@ -418,23 +424,22 @@ def _draw_importance(plan, rows):
         # rows past the boundary accumulate a finite value that is never used
         log_w += _log_ratio_vec(eps, y, eff, bank.log_M).sum(axis=1)
         log_z = np.log(h) + log_prod_u - np.log(bank.rates)
-        drawn.append((pb, bank, (eps, h, aug_dsum, log_z, np.ones(eps.shape, dtype=np.int64), aug_u)))
+        drawn.append((bs, bank, (eps, h, aug_dsum, log_z, np.ones(eps.shape, dtype=np.int64), aug_u)))
     g_rep = np.zeros((n_rows, plan.n_params))
     g_cor = np.zeros((n_rows, plan.n_params))
-    n_proposals = np.full(n_rows, sum(pb.dim for pb in plan.blocks), dtype=np.int64)
+    n_proposals = np.full(n_rows, plan.model.n_latents, dtype=np.int64)
     keep = np.flatnonzero(valid)
     if not keep.size:
         return g_rep, g_cor, n_proposals
-    mats = [(pb, bank, BankDraw(*(a[keep] for a in fields))) for pb, bank, fields in drawn]
+    mats = [(bs, bank, BankDraw(*(a[keep] for a in fields))) for bs, bank, fields in drawn]
     weight = np.array([math.exp(w) for w in log_w[keep]])
     lz_full = _latents_from_mats(mats, plan.model.n_latents)
     f, gf = _eval_model(plan.model, lz_full)
     wf = (weight * f)[:, None]
-    for pb, bank, bd in mats:
+    for bs, bank, bd in mats:
+        pb = bs.pb
         sl = pb.latent_slice
-        g_rep[keep, pb.theta_slice] = _pathwise_terms(
-            pb, bank, bd, plan.theta, gf[:, sl], lz_full[:, sl], weight=weight
-        )
+        g_rep[keep, pb.theta_slice] = _pathwise_terms(bs, bank, bd, gf[:, sl], lz_full[:, sl], weight=weight)
         glr = _glr_psi(bd.eps, bank.eff_shapes[None], bank.psi_eff[None])
         g_cor[keep, pb.theta_slice.start : pb.theta_slice.start + pb.dim] = wf * glr
     return g_rep, g_cor, n_proposals
@@ -479,14 +484,14 @@ def _estimate_rows(plan, rows):
         trials += t
     g_rep /= plan.cfg.draws
     g_cor /= plan.cfg.draws
-    total = g_rep + g_cor + plan.g_entropy[None]
+    total = g_rep + g_cor + plan.state.g_entropy[None]
     if not np.isfinite(total).all():
         raise DomainError("estimate rejected: non-finite gradient component")
     return g_rep, g_cor, total, trials
 
 
-def _run_estimator(model, theta, cfg, stream):
-    plan = _plan(model, theta, cfg)
+def _run_estimator(model, theta, cfg, stream, state=None):
+    plan = _plan(model, _state_for(model, theta, state), cfg)
     rows = StreamBatch.of((stream,))
     try:
         g_rep, g_cor, total, trials = _estimate_rows(plan, rows)
@@ -495,7 +500,7 @@ def _run_estimator(model, theta, cfg, stream):
     return GradientEstimate(
         g_rep=g_rep[0],
         g_cor=g_cor[0],
-        g_entropy=plan.g_entropy,
+        g_entropy=plan.state.g_entropy,
         total=total[0],
         draws=cfg.draws,
         trials=int(trials[0]),
@@ -531,9 +536,16 @@ def estimate_gradient_importance(model, theta, cfg, stream) -> GradientEstimate:
     return _run_estimator(model, theta, cfg, stream)
 
 
-def estimate(model, theta, cfg: EstimatorConfig, stream: RandomStream) -> GradientEstimate:
-    """Dispatch on cfg.kind."""
-    return _run_estimator(model, theta, cfg, stream)
+def estimate(
+    model, theta, cfg: EstimatorConfig, stream: RandomStream, *, state: ThetaState | None = None
+) -> GradientEstimate:
+    """Dispatch on cfg.kind.
+
+    `state`, when given, is the ThetaState of this model and theta; the
+    estimate then reuses its special functions and entropy gradient
+    instead of building them, with the same result.
+    """
+    return _run_estimator(model, theta, cfg, stream, state)
 
 
 def variance_profile(model, theta, cfg, G: int, stream: RandomStream) -> VarianceProfile:
@@ -548,7 +560,7 @@ def variance_profile(model, theta, cfg, G: int, stream: RandomStream) -> Varianc
     G = int(G)
     if G < 2:
         raise ContractError("variance_profile needs G >= 2 replicates")
-    plan = _plan(model, theta, cfg)
+    plan = _plan(model, ThetaState(model, theta), cfg)
     per_chunk = max(1, _CHUNK_DRAWS // model.n_latents)
     totals = np.empty((G, plan.n_params))
     for lo in range(0, G, per_chunk):
@@ -570,26 +582,26 @@ def variance_profile(model, theta, cfg, G: int, stream: RandomStream) -> Varianc
 
 def entropy_total(model, theta) -> float:
     """Analytic entropy of the full variational distribution at theta."""
-    blocks, n_params = param_layout(model)
-    value, _ = _entropy_parts(blocks, _check_theta(theta, n_params))
-    return value
+    return ThetaState(model, theta).entropy
 
 
-def estimate_elbo(model, theta, n_draws: int, stream: RandomStream) -> float:
+def estimate_elbo(
+    model, theta, n_draws: int, stream: RandomStream, *, state: ThetaState | None = None
+) -> float:
     """Monte Carlo E_q[f] over fresh draws plus the analytic entropy.
 
-    Raises DomainError when the estimate is not finite.
+    Raises DomainError when the estimate is not finite. `state` is as in
+    `estimate`.
     """
     n_draws = int(n_draws)
     if n_draws < 1:
         raise ContractError("estimate_elbo needs n_draws >= 1")
-    blocks, n_params = param_layout(model)
-    theta = _check_theta(theta, n_params)
+    state = _state_for(model, theta, state)
     lz_all = np.empty((n_draws, model.n_latents))
-    for pb in blocks:
-        log_z = _make_bank(pb, theta, 0).draw_batch(stream, n_draws).log_z
-        lz_all[:, pb.latent_slice] = _block_log_latents(pb, log_z)
-    value, _ = _entropy_parts(blocks, theta)
+    for bs, bank in zip(state.blocks, state.banks(0)):
+        log_z = bank.draw_batch(stream, n_draws).log_z
+        lz_all[:, bs.pb.latent_slice] = _block_log_latents(bs.pb, log_z)
+    value = state.entropy
     batch_fn = getattr(model, "log_joint_batch", None)
     if batch_fn is not None:
         fbar = float(np.mean(batch_fn(lz_all)))

@@ -88,20 +88,63 @@ def _lgamma_scalar(x: float) -> float:
     return acc + (x - 0.5) * math.log(x) - x + _LN_SQRT_2PI + s * inv
 
 
-def _lgamma_array(x: np.ndarray) -> np.ndarray:
+def _gamma_fns(x, lgamma=False, psi=False, psi1=False):
+    """ln Gamma, digamma and trigamma of a positive array, as asked for.
+
+    Returns a triple with None in place of each output not asked for. The
+    three share one recurrence shift, which steps every argument up by one
+    until it reaches _SHIFT; each output then adds its own asymptotic
+    series. Callers check the input: here it is taken to be positive and
+    finite.
+
+    Row j of `steps` holds each argument after j unit steps, formed by
+    adding 1.0 j times, and `below` marks the steps an argument takes. The
+    recurrence terms of an argument are folded into its accumulator in
+    step order, starting from 0.0, so each output equals the element-wise
+    loop x -> x + 1 with acc -= ln x (ln Gamma), acc -= 1/x (digamma) or
+    acc += 1/x^2 (trigamma) at every step.
+    """
     x = np.array(x, dtype=float)
-    acc = np.zeros_like(x)
-    mask = x < _SHIFT
-    while mask.any():
-        acc[mask] -= np.log(x[mask])
-        x[mask] += 1.0
-        mask = x < _SHIFT
+    shape = x.shape
+    x = x.reshape(-1)
+    # x > 0 reaches _SHIFT within _SHIFT steps, the smallest x in about _SHIFT - x
+    n_rows = 1 + min(int(_SHIFT), max(0, int(_SHIFT - x.min()) + 2)) if x.size else 1
+    steps = np.empty((n_rows, x.size))
+    steps[0] = x
+    steps[1:] = 1.0
+    np.add.accumulate(steps, axis=0, out=steps)
+    below = steps < _SHIFT
+    x = steps[below.sum(axis=0), np.arange(x.size)]
+    # the steps not taken are set to 1.0 so that nothing below overflows
+    taken = np.where(below, steps, 1.0)
+    acc_lg = acc_psi = acc_psi1 = None
+    if lgamma:
+        acc_lg = np.subtract.reduce(np.log(taken), axis=0, initial=0.0, where=below)
+    if psi:
+        acc_psi = np.subtract.reduce(1.0 / taken, axis=0, initial=0.0, where=below)
+    if psi1:
+        # acc - (-t) is acc + t, bit for bit
+        acc_psi1 = np.subtract.reduce(-1.0 / (taken * taken), axis=0, initial=0.0, where=below)
     inv = 1.0 / x
     inv2 = inv * inv
-    s = np.zeros_like(x)
-    for c in reversed(_LGAMMA_COEF):
-        s = s * inv2 + c
-    return acc + (x - 0.5) * np.log(x) - x + _LN_SQRT_2PI + s * inv
+    log_x = np.log(x) if lgamma or psi else None
+    out_lg = out_psi = out_psi1 = None
+    if lgamma:
+        s = np.zeros_like(x)
+        for c in reversed(_LGAMMA_COEF):
+            s = s * inv2 + c
+        out_lg = acc_lg + (x - 0.5) * log_x - x + _LN_SQRT_2PI + s * inv
+    if psi:
+        s = np.zeros_like(x)
+        for c in reversed(_DIGAMMA_COEF):
+            s = s * inv2 + c
+        out_psi = acc_psi + log_x - 0.5 * inv - s * inv2
+    if psi1:
+        s = np.zeros_like(x)
+        for c in reversed(_TRIGAMMA_COEF):
+            s = s * inv2 + c
+        out_psi1 = acc_psi1 + inv + 0.5 * inv2 + s * inv2 * inv
+    return tuple(None if out is None else out.reshape(shape) for out in (out_lg, out_psi, out_psi1))
 
 
 def log_gamma_fn(x):
@@ -114,7 +157,7 @@ def log_gamma_fn(x):
     _check_positive(x, "log_gamma_fn")
     if np.ndim(x) == 0:
         return _lgamma_scalar(float(x))
-    return _lgamma_array(np.asarray(x, dtype=float))
+    return _gamma_fns(x, lgamma=True)[0]
 
 
 def _digamma_scalar(x: float) -> float:
@@ -130,28 +173,12 @@ def _digamma_scalar(x: float) -> float:
     return acc + math.log(x) - 0.5 * inv - s * inv2
 
 
-def _digamma_array(x: np.ndarray) -> np.ndarray:
-    x = np.array(x, dtype=float)
-    acc = np.zeros_like(x)
-    mask = x < _SHIFT
-    while mask.any():
-        acc[mask] -= 1.0 / x[mask]
-        x[mask] += 1.0
-        mask = x < _SHIFT
-    inv = 1.0 / x
-    inv2 = inv * inv
-    s = np.zeros_like(x)
-    for c in reversed(_DIGAMMA_COEF):
-        s = s * inv2 + c
-    return acc + np.log(x) - 0.5 * inv - s * inv2
-
-
 def digamma(x):
     """psi(x) = d/dx ln Gamma(x), x > 0, scalar or array."""
     _check_positive(x, "digamma")
     if np.ndim(x) == 0:
         return _digamma_scalar(float(x))
-    return _digamma_array(np.asarray(x, dtype=float))
+    return _gamma_fns(x, psi=True)[1]
 
 
 def _trigamma_scalar(x: float) -> float:
@@ -167,28 +194,12 @@ def _trigamma_scalar(x: float) -> float:
     return acc + inv + 0.5 * inv2 + s * inv2 * inv
 
 
-def _trigamma_array(x: np.ndarray) -> np.ndarray:
-    x = np.array(x, dtype=float)
-    acc = np.zeros_like(x)
-    mask = x < _SHIFT
-    while mask.any():
-        acc[mask] += 1.0 / (x[mask] * x[mask])
-        x[mask] += 1.0
-        mask = x < _SHIFT
-    inv = 1.0 / x
-    inv2 = inv * inv
-    s = np.zeros_like(x)
-    for c in reversed(_TRIGAMMA_COEF):
-        s = s * inv2 + c
-    return acc + inv + 0.5 * inv2 + s * inv2 * inv
-
-
 def trigamma(x):
     """psi'(x), the derivative of digamma, x > 0, scalar or array."""
     _check_positive(x, "trigamma")
     if np.ndim(x) == 0:
         return _trigamma_scalar(float(x))
-    return _trigamma_array(np.asarray(x, dtype=float))
+    return _gamma_fns(x, psi1=True)[2]
 
 
 def reg_lower_gamma(a: float, x: float) -> float:

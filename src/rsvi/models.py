@@ -436,9 +436,9 @@ def _def_grad_log(m: SparseGammaDEF, lzs, lws):
     gz = [np.zeros_like(lz) for lz in lzs]
     gw = [np.zeros_like(lw) for lw in lws]
     log_lam = _log_matmul(lzs[0], lws[0])
-    # d/d ln lam of x ln max(lam, floor) - lam, taking the floored log's
-    # derivative as x / max(lam, floor)
-    dlam = x * np.exp(log_lam - np.maximum(log_lam, _LOG_RATE_FLOOR)) - np.exp(log_lam)
+    # d/d ln lam of x ln max(lam, floor) - lam: x - lam at or above the
+    # floor, -lam below it, where the log term is the constant x ln floor
+    dlam = np.where(log_lam >= _LOG_RATE_FLOOR, x, 0.0) - np.exp(log_lam)
     resp = np.exp(lzs[0][:, :, None] + lws[0][None, :, :] - log_lam[:, None, :])
     weighted = resp * dlam[:, None, :]
     gz[0] += weighted.sum(axis=2)
@@ -553,7 +553,7 @@ def make_synthetic_def_data(
     if weights is None:
         ws = []
         for shape in shapes:
-            bank = make_sampler_bank(np.full(shape[0] * shape[1], float(wa)), float(wb), 0, memo=False)
+            bank = make_sampler_bank(np.full(shape[0] * shape[1], float(wa)), float(wb), 0)
             ws.append(bank.draw(stream).z.reshape(shape))
     else:
         ws = [np.asarray(w, dtype=float) for w in weights]
@@ -562,13 +562,13 @@ def make_synthetic_def_data(
                 raise DomainError(f"override weights must be non-negative with shape {shape}")
     ta, tb = top_prior
     zs = [None] * len(sizes)
-    bank = make_sampler_bank(np.full(n_obs * sizes[-1], float(ta)), float(tb), 0, memo=False)
+    bank = make_sampler_bank(np.full(n_obs * sizes[-1], float(ta)), float(tb), 0)
     zs[-1] = bank.draw(stream).z.reshape(n_obs, sizes[-1])
     for l in range(len(sizes) - 2, -1, -1):
         mean = zs[l + 1] @ ws[l + 1].T
         mean = np.maximum(mean, POISSON_RATE_FLOOR)
         rates = (alpha_z / mean).ravel()
-        bank = make_sampler_bank(np.full(rates.size, float(alpha_z)), rates, 0, memo=False)
+        bank = make_sampler_bank(np.full(rates.size, float(alpha_z)), rates, 0)
         zs[l] = bank.draw(stream).z.reshape(n_obs, sizes[l])
     lam = zs[0] @ ws[0]
     counts = np.empty((n_obs, n_dim), dtype=np.int64)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -28,11 +28,11 @@ from .exceptions import DomainError, SamplerStallError
 from .mathcore import (
     RandomStream,
     StreamBatch,
+    _gamma_fns,
+    _lgamma_scalar,
     _open_unit,
     _ppnd_array as _ppnd,
     _stream_words,
-    digamma,
-    log_gamma_fn,
 )
 
 __all__ = [
@@ -151,10 +151,11 @@ def _log_m_at_mode(alpha):
     the ratio-minus-mode difference d [3 ln v - v^3 + 1 + 4.5 (v-1)^2] is
     non-positive for every v = 1 + c eps > 0, so the supremum is exactly the
     value at zero: (alpha - 1/2) ln(alpha - 1/3) - (alpha - 1/3)
-    + ln(sqrt(2 pi)) - ln Gamma(alpha).
+    + ln(sqrt(2 pi)) - ln Gamma(alpha). Shapes are taken to be checked.
     """
+    lg = _lgamma_scalar(float(alpha)) if np.ndim(alpha) == 0 else _gamma_fns(alpha, lgamma=True)[0]
     d = np.asarray(alpha, dtype=float) - 1.0 / 3.0
-    out = (np.asarray(alpha, dtype=float) - 0.5) * np.log(d) - d + _LN_SQRT_2PI - log_gamma_fn(alpha)
+    out = (np.asarray(alpha, dtype=float) - 0.5) * np.log(d) - d + _LN_SQRT_2PI - lg
     return float(out) if np.ndim(alpha) == 0 else out
 
 
@@ -312,14 +313,25 @@ class SamplerBank:
     consumption order than repeated scalar `sample_gamma_eps` calls.
     `draw` and `draw_batch` are the one-stream case of `draw_streams`,
     which draws from many streams at once with that layout on each.
+
+    `log_M` (the envelope constants) and `psi_eff` (digamma of the
+    effective shapes) are computed on first use: the importance estimator
+    reads the first, the correction term the second, and a bank that only
+    draws reads neither.
     """
 
     shapes: np.ndarray
     rates: np.ndarray
     b_steps: np.ndarray
     eff_shapes: np.ndarray
-    log_M: np.ndarray
-    psi_eff: np.ndarray
+
+    @cached_property
+    def log_M(self) -> np.ndarray:
+        return _read_only(_log_m_at_mode(self.eff_shapes))
+
+    @cached_property
+    def psi_eff(self) -> np.ndarray:
+        return _read_only(_gamma_fns(self.eff_shapes, psi=True)[1])
 
     @property
     def size(self) -> int:
@@ -506,42 +518,39 @@ def _round_uniforms(owner: np.ndarray, streams: StreamBatch) -> np.ndarray:
     return _open_unit(words)
 
 
-def _as_param_tuple(values, k: int, name: str) -> tuple:
+def _as_param_array(values, k: int, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(k, float(arr))
+    arr = np.full(k, float(arr)) if arr.ndim == 0 else arr.copy()
     if arr.shape != (k,):
         raise DomainError(f"{name} must be scalar or length-{k}, got shape {arr.shape}")
     if not (np.isfinite(arr).all() and (arr > 0.0).all()):
         raise DomainError(f"{name} must be positive and finite")
-    return tuple(float(v) for v in arr)
+    return arr
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def _build_bank(shapes: np.ndarray, rates: np.ndarray, B: int) -> SamplerBank:
+    """A bank over checked positive, finite (k,) shapes and rates; B >= 0."""
     b_steps = np.maximum(B, (shapes < 1.0).astype(np.int64))
-    eff = shapes + b_steps
-    log_m = np.atleast_1d(np.asarray(_log_m_at_mode(eff), dtype=float))
-    psi_eff = np.atleast_1d(np.asarray(digamma(eff), dtype=float))
-    for arr in (shapes, rates, b_steps, eff, log_m, psi_eff):
-        arr.flags.writeable = False
     return SamplerBank(
-        shapes=shapes, rates=rates, b_steps=b_steps, eff_shapes=eff, log_M=log_m, psi_eff=psi_eff
+        shapes=_read_only(shapes),
+        rates=_read_only(rates),
+        b_steps=_read_only(b_steps),
+        eff_shapes=_read_only(shapes + b_steps),
     )
 
 
-@lru_cache(maxsize=256)
-def _bank_cached(shape_key: tuple, rate_key: tuple, B: int) -> SamplerBank:
-    return _build_bank(np.array(shape_key), np.array(rate_key), B)
-
-
-def make_sampler_bank(shapes, rates=1.0, B: int = 0, memo: bool = True) -> SamplerBank:
-    """Vectorized sampler construction, memoized on the parameter values.
+def make_sampler_bank(shapes, rates=1.0, B: int = 0) -> SamplerBank:
+    """Vectorized sampler construction from checked parameters.
 
     Each element gets the same per-element bump rule as make_gamma_sampler
     (shape < 1 forces at least one augmentation step). The envelope constants
     come from the closed mode evaluation, which the test suite pins against
-    the golden-section search. Pass memo=False for one-off banks with large
-    parameter vectors that should not occupy the cache.
+    the golden-section search.
     """
     shapes = np.atleast_1d(np.asarray(shapes, dtype=float))
     k = shapes.size
@@ -550,11 +559,7 @@ def make_sampler_bank(shapes, rates=1.0, B: int = 0, memo: bool = True) -> Sampl
     B = int(B)
     if B < 0:
         raise DomainError("augmentation steps B must be >= 0")
-    shape_t = _as_param_tuple(shapes, k, "shapes")
-    rate_t = _as_param_tuple(rates, k, "rates")
-    if memo:
-        return _bank_cached(shape_t, rate_t, B)
-    return _build_bank(np.array(shape_t), np.array(rate_t), B)
+    return _build_bank(_as_param_array(shapes, k, "shapes"), _as_param_array(rates, k, "rates"), B)
 
 
 def sample_dirichlet_eps(p: DirichletParams, B: int, stream: RandomStream):

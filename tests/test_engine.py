@@ -1,4 +1,6 @@
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +186,50 @@ class TestRunRsvi:
     def test_bad_init_rejected(self, conj5_spec):
         with pytest.raises(DomainError):
             run_rsvi(conj5_spec, np.array([1.0, -1.0, 1.0, 1.0, 1.0]), RunConfig(), RandomStream(0, 0))
+
+    @pytest.mark.parametrize("shape,mean", [(1e300, 1e-300), (1e-300, 1e300)], ids=["rate-overflows", "rate-underflows"])
+    def test_rate_out_of_range_fails_the_iteration(self, caplog, shape, mean):
+        # a positive, finite theta whose rate shape/mean is inf or 0
+        spec = ModelSpec(
+            (LatentBlock("z", "gamma_mean_shape", 1),), lambda lz: 0.0, lambda lz: np.zeros(1)
+        )
+        theta0 = np.array([shape, mean])
+        cfg = RunConfig(max_iters=2, elbo_draws=5, stop_tol=None, max_failures=3)
+        with caplog.at_level(logging.WARNING, logger="rsvi.engine"):
+            _, trace = run_rsvi(spec, theta0, cfg, RandomStream(0, 0))
+        assert trace == []
+        failures = [r.getMessage() for r in caplog.records if "numerical failure" in r.getMessage()]
+        assert len(failures) == 2 and all("rates" in m for m in failures)
+        with pytest.raises(OptimizerAbortError):
+            run_rsvi(spec, theta0, RunConfig(max_iters=5, elbo_draws=5, stop_tol=None), RandomStream(0, 0))
+
+    def test_memory_does_not_grow_with_iterations(self, def_small_spec):
+        # traced memory at the ELBO of iteration 400 against iteration 100; the
+        # trace's own records account for about 0.2 MiB of the difference
+        seen = {}
+
+        def probing_batch(lzmat):
+            seen["calls"] = seen.get("calls", 0) + 1
+            if seen["calls"] in (100, 400):
+                seen[seen["calls"]] = tracemalloc.get_traced_memory()[0]
+            return def_small_spec.log_joint_batch(lzmat)
+
+        spec = ModelSpec(
+            def_small_spec.latent_layout,
+            def_small_spec.log_joint,
+            def_small_spec.grad_latents,
+            log_joint_batch=probing_batch,
+        )
+        cfg = RunConfig(
+            estimator=EstimatorConfig("rsvi", aug_b=1), eta=0.75, max_iters=400, elbo_draws=5, stop_tol=None
+        )
+        tracemalloc.start()
+        try:
+            _, trace = run_rsvi(spec, default_theta_init(spec), cfg, RandomStream(46, 0))
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 400
+        assert seen[400] - seen[100] <= 512 * 1024
 
 
 class TestTraceStability:

@@ -7,6 +7,7 @@ from rsvi import estimators
 from rsvi.estimators import (
     ESTIMATOR_KINDS,
     EstimatorConfig,
+    ThetaState,
     default_theta_init,
     entropy_total,
     estimate,
@@ -292,3 +293,68 @@ class TestElbo:
         from rsvi.distributions import dirichlet_entropy
 
         assert entropy_total(conj5_spec, theta5) == pytest.approx(dirichlet_entropy(q5), rel=1e-12)
+
+
+class TestThetaState:
+    """A ThetaState handed to estimate or estimate_elbo gives the same result
+    as the state the call would build itself."""
+
+    @staticmethod
+    def _model_theta(request, model):
+        if model == "conj5":
+            return request.getfixturevalue("conj5_spec"), request.getfixturevalue("theta5")
+        spec = request.getfixturevalue("def_small_spec")
+        return spec, default_theta_init(spec)
+
+    @pytest.mark.parametrize("B", [0, 1])
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    @pytest.mark.parametrize("model", ["conj5", "def_small"])
+    def test_estimate_with_state(self, request, model, kind, B):
+        spec, theta = self._model_theta(request, model)
+        cfg = EstimatorConfig(kind, aug_b=B, draws=2)
+        state = ThetaState(spec, theta)
+        alone, handed = RandomStream(81, 0), RandomStream(81, 0)
+        a = estimate(spec, theta, cfg, alone)
+        b = estimate(spec, theta, cfg, handed, state=state)
+        for field in ("g_rep", "g_cor", "g_entropy", "total"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        assert a.trials == b.trials and alone.counter == handed.counter
+        # one state serves several estimates and ELBOs
+        c = estimate(spec, state.theta, cfg, RandomStream(81, 0), state=state)
+        assert np.array_equal(c.total, a.total)
+
+    @pytest.mark.parametrize("model", ["conj5", "def_small"])
+    def test_elbo_with_state(self, request, model):
+        spec, theta = self._model_theta(request, model)
+        state = ThetaState(spec, theta)
+        alone, handed = RandomStream(82, 0), RandomStream(82, 0)
+        values = [estimate_elbo(spec, theta, 7, alone) for _ in range(2)]
+        handed_values = [estimate_elbo(spec, theta, 7, handed, state=state) for _ in range(2)]
+        assert np.array_equal(values, handed_values)
+        assert alone.counter == handed.counter
+        assert state.entropy == entropy_total(spec, theta)
+
+    def test_state_of_another_theta_or_model_rejected(self, conj5_spec, theta5):
+        state = ThetaState(conj5_spec, theta5)
+        with pytest.raises(ContractError):
+            estimate(conj5_spec, theta5 * 1.5, EstimatorConfig(), RandomStream(0, 0), state=state)
+        with pytest.raises(ContractError):
+            estimate_elbo(flat_model(), theta5, 5, RandomStream(0, 0), state=state)
+
+    def test_theta_is_a_read_only_copy(self, conj5_spec, theta5):
+        theta = theta5.copy()
+        state = ThetaState(conj5_spec, theta)
+        theta[0] = 9.0
+        assert state.theta[0] == theta5[0]
+        assert not state.theta.flags.writeable
+
+    @pytest.mark.parametrize("shape,mean", [(1e300, 1e-300), (1e-300, 1e300)], ids=["rate-overflows", "rate-underflows"])
+    def test_rate_out_of_range_is_a_domain_error(self, shape, mean):
+        # shape/mean is inf or 0 although shape and mean are positive and finite
+        spec = gamma_toy_model([1.0, 2.0], [0.5, 1.0])
+        theta = np.array([shape, 2.0, mean, 1.0])
+        for kind in ESTIMATOR_KINDS:
+            with pytest.raises(DomainError, match="rates"):
+                estimate(spec, theta, EstimatorConfig(kind, aug_b=1), RandomStream(0, 0))
+        with pytest.raises(DomainError, match="rates"):
+            estimate_elbo(spec, theta, 5, RandomStream(0, 0))

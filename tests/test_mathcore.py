@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import special, stats
 
+from rsvi import mathcore
 from rsvi.exceptions import DomainError
 from rsvi.mathcore import (
     RandomStream,
     StreamBatch,
+    _gamma_fns,
     digamma,
     draw_std_normal,
     draw_uniform,
@@ -92,6 +94,68 @@ class TestDigammaTrigamma:
         for fn in (digamma, trigamma):
             with pytest.raises(DomainError):
                 fn(-0.5)
+
+
+def _shift_loop_reference(x):
+    """ln Gamma, digamma and trigamma by the element-wise recurrence loop,
+    each with its own loop, as the shared kernel must reproduce bit for bit."""
+    outs = []
+    for coef, term, tail in (
+        (mathcore._LGAMMA_COEF, lambda v: -np.log(v),
+         lambda acc, v, inv, inv2, s: acc + (v - 0.5) * np.log(v) - v + mathcore._LN_SQRT_2PI + s * inv),
+        (mathcore._DIGAMMA_COEF, lambda v: -(1.0 / v),
+         lambda acc, v, inv, inv2, s: acc + np.log(v) - 0.5 * inv - s * inv2),
+        (mathcore._TRIGAMMA_COEF, lambda v: 1.0 / (v * v),
+         lambda acc, v, inv, inv2, s: acc + inv + 0.5 * inv2 + s * inv2 * inv),
+    ):
+        v = np.array(x, dtype=float)
+        acc = np.zeros_like(v)
+        mask = v < mathcore._SHIFT
+        while mask.any():
+            acc[mask] += term(v[mask])
+            v[mask] += 1.0
+            mask = v < mathcore._SHIFT
+        inv = 1.0 / v
+        inv2 = inv * inv
+        s = np.zeros_like(v)
+        for c in reversed(coef):
+            s = s * inv2 + c
+        outs.append(tail(acc, v, inv, inv2, s))
+    return outs
+
+
+class TestSharedSpecialKernel:
+    @pytest.mark.parametrize("case", ["small", "wide", "near-integers", "single", "matrix"])
+    def test_bit_identical_to_separate_loops(self, case):
+        rng = np.random.default_rng(17)
+        x = {
+            "small": rng.uniform(1e-4, 14.0, 300),
+            "wide": 10.0 ** rng.uniform(-300, 300, 300),
+            "near-integers": np.nextafter(rng.integers(1, 13, 300).astype(float), 0.0),
+            "single": np.array([0.37]),
+            "matrix": rng.uniform(0.01, 5.0, (6, 7)),
+        }[case]
+        with np.errstate(divide="ignore", over="ignore"):
+            got = _gamma_fns(x, lgamma=True, psi=True, psi1=True)
+            want = _shift_loop_reference(x)
+        for g, w in zip(got, want):
+            assert g.shape == x.shape
+            assert np.array_equal(g, w)
+
+    def test_only_requested_outputs(self):
+        lg, psi, psi1 = _gamma_fns(np.array([0.5, 3.0]), psi=True)
+        assert lg is None and psi1 is None
+        assert np.array_equal(psi, digamma(np.array([0.5, 3.0])))
+
+    @pytest.mark.parametrize("fn", [log_gamma_fn, digamma, trigamma])
+    @pytest.mark.parametrize(
+        "bad",
+        [0.0, -0.5, float("nan"), float("inf"), np.array([1.0, 0.0]), np.array([2.0, -3.0]), np.array([])],
+        ids=["zero", "negative", "nan", "inf", "array-zero", "array-negative", "empty"],
+    )
+    def test_public_functions_reject_non_positive(self, fn, bad):
+        with pytest.raises(DomainError):
+            fn(bad)
 
 
 class TestIncompleteFunctions:

@@ -18,6 +18,7 @@ from rsvi.models import (
     conjugate_grad,
     conjugate_log_joint,
     def_log_joint,
+    def_model_spec,
     make_synthetic_def_data,
 )
 
@@ -170,6 +171,32 @@ class TestSparseGammaDEF:
             v = 0.3 + 2.0 * stream.uniforms(def_small_spec.n_latents)
             fd = finite_diff_grad(def_small_spec.log_joint, v, 1e-6)
             an = def_small_spec.grad_latents(v)
+            assert np.max(np.abs(an - fd)) / max(1.0, np.max(np.abs(fd))) <= 1e-4
+
+    def test_grad_below_rate_floor_one_by_one(self):
+        # lam = e^-30 lies below POISSON_RATE_FLOOR, where the Poisson term is
+        # the constant x ln(floor) minus lam: d/d ln z is -lam from it and
+        # (0.1 - 1) - 0.1 z from the top prior, -0.9000 in all
+        spec = def_model_spec(SparseGammaDEF((1,), np.array([[3]])))
+        v = np.array([-15.0, -15.0])
+        g = spec.grad_latents(v)
+        fd = finite_diff_grad(spec.log_joint, v, 1e-6)
+        assert g[0] == pytest.approx(-0.9, abs=1e-6)
+        assert np.max(np.abs(g - fd)) <= 1e-6
+
+    def test_grad_matches_finite_differences_below_rate_floor(self):
+        # the self-check's points with z1 and w0 moved down by 15 in log space:
+        # every Poisson rate (a sum of two z w products) falls below the floor,
+        # while the layer above keeps the other terms of order one
+        spec = def_model_spec(SparseGammaDEF((2, 1), np.array([[3, 1, 0], [2, 0, 4]])))
+        blocks = spec.latent_slices()
+        stream = RandomStream(78, 0)
+        for _ in range(5):
+            v = spec.random_interior_point(stream)
+            v[blocks["z1"]] -= 15.0
+            v[blocks["w0"]] -= 15.0
+            fd = finite_diff_grad(spec.log_joint, v, 1e-6)
+            an = spec.grad_latents(v)
             assert np.max(np.abs(an - fd)) / max(1.0, np.max(np.abs(fd))) <= 1e-4
 
     def test_batch_log_joint_matches_scalar(self, def_small_spec):

@@ -262,7 +262,7 @@ class TestLogSpaceDraws:
     )
     def test_finite_log_draws_and_gradient(self, log10_shape, log10_rate, B):
         shape, rate = 10.0**log10_shape, 10.0**log10_rate
-        bank = make_sampler_bank(np.array([shape]), rate, B, memo=False)
+        bank = make_sampler_bank(np.array([shape]), rate, B)
         assert np.all(np.isfinite(bank.draw(RandomStream(1, 0)).log_z))
         assert np.all(np.isfinite(bank.draw_batch(RandomStream(2, 0), 50).log_z))
         # f = ln z - z on one mean-shape latent, in the log-latent contract
