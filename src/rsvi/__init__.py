@@ -11,7 +11,6 @@ from .distributions import (
     DirichletParams,
     GammaMeanShapeParams,
     GammaParams,
-    derived_transform,
     dirichlet_entropy,
     dirichlet_entropy_grad,
     dirichlet_kl,
@@ -28,9 +27,6 @@ from .estimators import (
     default_theta_init,
     estimate,
     estimate_elbo,
-    estimate_gradient,
-    estimate_gradient_importance,
-    estimate_gradient_score,
     grad_log_ratio_gamma,
     variance_profile,
 )
@@ -44,17 +40,10 @@ from .models import (
     make_synthetic_def_data,
 )
 from .rejection import (
-    AcceptedDraw,
-    GammaSampler,
     dh_dalpha,
     dh_deps,
-    envelope_log_M,
-    extras_transform,
     h_gam,
     log_ratio_q_over_r,
-    make_gamma_sampler,
-    sample_dirichlet_eps,
-    sample_gamma_eps,
 )
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Gamma and Dirichlet densities, entropies, scores, and derived transforms.
+"""Gamma and Dirichlet densities, entropies and entropy gradients.
 
 The two gamma parameterizations are distinct types on purpose: shape/rate is
 the natural density parameterization, shape/mean is what the layered count
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ContractError, DomainError
+from .exceptions import DomainError
 from .mathcore import (
     _digamma_scalar,
     _gamma_fns,
@@ -30,16 +30,11 @@ __all__ = [
     "gamma_log_pdf",
     "gamma_entropy",
     "gamma_entropy_grad",
-    "gamma_entropy_mean_shape",
     "gamma_entropy_grad_mean_shape",
-    "gamma_score_shape_rate",
-    "gamma_score_mean_shape",
     "dirichlet_log_pdf",
     "dirichlet_entropy",
     "dirichlet_entropy_grad",
     "dirichlet_kl",
-    "dirichlet_score",
-    "derived_transform",
 ]
 
 _SIMPLEX_TOL = 1e-9
@@ -120,10 +115,23 @@ def gamma_log_pdf(z, p: GammaParams):
     return out
 
 
+def _gamma_entropy(shapes, rates, lg_shapes, psi_shapes):
+    """Entropy shape - ln rate + ln Gamma(shape) + (1 - shape) psi(shape),
+    elementwise, given ln Gamma and psi of the shapes."""
+    return shapes - np.log(rates) + lg_shapes + (1.0 - shapes) * psi_shapes
+
+
+def _gamma_entropy_grad_mean_shape(shapes, means, psi1_shapes):
+    """(dH/dshape, dH/dmean) of the mean-shape gamma, elementwise, given
+    psi'(shape). With rate = shape/mean the rate path contributes -1/shape
+    to the shape component and +1/mean to the mean component."""
+    return 1.0 + (1.0 - shapes) * psi1_shapes - 1.0 / shapes, 1.0 / means
+
+
 def gamma_entropy(p: GammaParams) -> float:
     """H = shape - ln rate + ln Gamma(shape) + (1 - shape) psi(shape)."""
-    a, b = p.shape, p.rate
-    return a - math.log(b) + log_gamma_fn(a) + (1.0 - a) * digamma(a)
+    a = p.shape
+    return float(_gamma_entropy(a, p.rate, _lgamma_scalar(a), _digamma_scalar(a)))
 
 
 def gamma_entropy_grad(p: GammaParams) -> tuple[float, float]:
@@ -132,36 +140,9 @@ def gamma_entropy_grad(p: GammaParams) -> tuple[float, float]:
     return 1.0 + (1.0 - a) * trigamma(a), -1.0 / b
 
 
-def gamma_entropy_mean_shape(p: GammaMeanShapeParams) -> float:
-    return gamma_entropy(p.as_shape_rate())
-
-
 def gamma_entropy_grad_mean_shape(p: GammaMeanShapeParams) -> tuple[float, float]:
-    """(dH/dshape, dH/dmean) at fixed mean resp. fixed shape.
-
-    With rate = shape/mean the rate path contributes -1/shape to the shape
-    component and +1/mean to the mean component.
-    """
-    a, mu = p.shape, p.mean
-    return 1.0 + (1.0 - a) * trigamma(a) - 1.0 / a, 1.0 / mu
-
-
-def gamma_score_shape_rate(z: float, p: GammaParams) -> tuple[float, float]:
-    """Gradient of log Gamma(z; shape, rate) in (shape, rate)."""
-    z = float(z)
-    if z <= 0.0:
-        raise DomainError("score undefined outside the support (z <= 0)")
-    a, b = p.shape, p.rate
-    return math.log(b) + math.log(z) - digamma(a), a / b - z
-
-
-def gamma_score_mean_shape(z: float, p: GammaMeanShapeParams) -> tuple[float, float]:
-    """Gradient of log Gamma(z; shape, shape/mean) in (shape, mean)."""
-    a, mu = p.shape, p.mean
-    b = a / mu
-    d_a, d_b = gamma_score_shape_rate(z, GammaParams(a, b))
-    # rate = shape/mean: d rate/d shape = 1/mean, d rate/d mean = -shape/mean^2
-    return d_a + d_b / mu, d_b * (-a / (mu * mu))
+    """(dH/dshape, dH/dmean) at fixed mean resp. fixed shape."""
+    return _gamma_entropy_grad_mean_shape(p.shape, p.mean, _trigamma_scalar(p.shape))
 
 
 def _check_simplex(z) -> np.ndarray:
@@ -231,71 +212,3 @@ def dirichlet_kl(p: DirichletParams, q: DirichletParams) -> float:
         + float(np.sum(log_gamma_fn(aq)))
         + float(np.dot(ap - aq, elog))
     )
-
-
-def dirichlet_score(z, p: DirichletParams) -> np.ndarray:
-    """Gradient of log Dir(z; conc) with respect to conc."""
-    z = _check_simplex(z)
-    a = p.conc
-    if np.any(z <= 0.0):
-        raise DomainError("score undefined on the simplex boundary")
-    return np.log(z) - digamma(a) + digamma(float(a.sum()))
-
-
-# --- distributions derived from auxiliary gamma draws -------------------------
-
-_DERIVED_ARITY = {
-    "beta": (2, 2),  # (n aux, n params)
-    "dirichlet": (None, None),  # K aux, K params, K >= 2
-    "student_t": (2, 1),
-    "chi_squared": (1, 1),
-    "f_dist": (2, 2),
-    "nakagami": (1, 2),
-}
-
-
-def derived_transform(family: str, aux, theta):
-    """Map auxiliary draws to a draw from the derived family.
-
-    The recipes: beta = z1/(z1+z2) from Gam(a,1), Gam(b,1); dirichlet is the
-    normalized vector of Gam(a_k,1) draws; student_t = sqrt(nu/(2 z1)) * z2
-    with z1 ~ Gam(nu/2,1) and z2 standard normal; chi_squared(k) = 2 z with
-    z ~ Gam(k/2,1); f_dist = (d2 z1)/(d1 z2); nakagami = sqrt(omega z / m).
-    """
-    if family not in _DERIVED_ARITY:
-        raise ContractError(f"unknown derived family {family!r}")
-    aux = np.atleast_1d(np.asarray(aux, dtype=float))
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    n_aux, n_par = _DERIVED_ARITY[family]
-    if family == "dirichlet":
-        if aux.size < 2 or aux.size != theta.size:
-            raise ContractError(
-                "dirichlet transform needs K >= 2 auxiliary gammas and K parameters"
-            )
-    else:
-        if aux.size != n_aux:
-            raise ContractError(f"{family} transform needs {n_aux} auxiliary draws, got {aux.size}")
-        if theta.size != n_par:
-            raise ContractError(f"{family} takes {n_par} parameters, got {theta.size}")
-    if not (np.all(np.isfinite(theta)) and np.all(theta > 0.0)):
-        raise DomainError(f"{family} parameters must be positive, got {theta!r}")
-
-    # every recipe except student_t consumes strictly positive gamma draws
-    gamma_aux = aux if family != "student_t" else aux[:1]
-    if not (np.all(np.isfinite(gamma_aux)) and np.all(gamma_aux > 0.0)):
-        raise DomainError(f"{family}: auxiliary gamma draws must be positive")
-
-    if family == "beta":
-        return float(aux[0] / (aux[0] + aux[1]))
-    if family == "dirichlet":
-        return aux / float(aux.sum())
-    if family == "student_t":
-        if not math.isfinite(aux[1]):
-            raise DomainError("student_t: non-finite normal auxiliary")
-        return float(math.sqrt(theta[0] / (2.0 * aux[0])) * aux[1])
-    if family == "chi_squared":
-        return float(2.0 * aux[0])
-    if family == "f_dist":
-        return float((theta[1] * aux[0]) / (theta[0] * aux[1]))
-    # nakagami(m, omega)
-    return float(math.sqrt(theta[1] * aux[0] / theta[0]))

@@ -15,11 +15,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import _dirichlet_entropy, _dirichlet_entropy_grad
+from .distributions import (
+    _dirichlet_entropy,
+    _dirichlet_entropy_grad,
+    _gamma_entropy,
+    _gamma_entropy_grad_mean_shape,
+)
 from .exceptions import ContractError, DomainError
 from .mathcore import RandomStream, StreamBatch, _digamma_scalar, _gamma_fns, digamma
 from .models import ModelSpec
-from .rejection import BankDraw, _augment, _build_bank, dh_dalpha
+from .rejection import BankDraw, _augment, _build_bank, _cube, _dh_dalpha, _h, _log_ratio, _scalar_or_array
 
 __all__ = [
     "EstimatorConfig",
@@ -30,13 +35,9 @@ __all__ = [
     "param_layout",
     "default_theta_init",
     "grad_log_ratio_gamma",
-    "estimate_gradient",
-    "estimate_gradient_score",
-    "estimate_gradient_importance",
     "estimate",
     "variance_profile",
     "estimate_elbo",
-    "entropy_total",
 ]
 
 ESTIMATOR_KINDS = ("rsvi", "score_function", "importance")
@@ -202,9 +203,8 @@ class ThetaState:
             self.blocks.append(bs)
             grad = self.g_entropy[pb.theta_slice]
             if pb.family == "gamma_mean_shape":
-                value += float(np.sum(shapes - np.log(rates) + bs.lgamma + (1.0 - shapes) * bs.psi))
-                grad[: pb.dim] = 1.0 + (1.0 - shapes) * bs.psi1 - 1.0 / shapes
-                grad[pb.dim :] = 1.0 / means
+                value += float(np.sum(_gamma_entropy(shapes, rates, bs.lgamma, bs.psi)))
+                grad[: pb.dim], grad[pb.dim :] = _gamma_entropy_grad_mean_shape(shapes, means, bs.psi1)
             else:
                 value += _dirichlet_entropy(shapes, bs.lgamma, bs.psi)
                 grad[:] = _dirichlet_entropy_grad(shapes, bs.psi1)
@@ -239,45 +239,28 @@ def _state_for(model, theta, state) -> ThetaState:
 
 
 def grad_log_ratio_gamma(eps, alpha):
-    """d/d alpha of the target/proposal log-ratio at the accepted eps.
+    """d/d alpha of the target/proposal log-ratio at the accepted eps, alpha >= 1."""
+    scalar, eps, alpha, _s, _y = _cube("grad_log_ratio_gamma", eps, alpha)
+    return _scalar_or_array(scalar, _glr_psi(eps, alpha, digamma(alpha)))
+
+
+def _glr_psi(eps, alpha, psi_alpha):
+    """d/d alpha of the log-ratio, given psi(alpha) (the bank's psi_eff).
 
     Sum of the target-density derivative ln h + (alpha-1) h_a / h - h_a
     - psi(alpha) and the Jacobian derivative 1/(2(alpha - 1/3))
     - 9 eps / ((1 + eps/s)(9 alpha - 3)^(3/2)); h_a is dh/dalpha. Drops to
     zero as alpha grows, which is exactly why the correction term vanishes
-    for well-behaved shapes.
-    """
-    scalar = np.ndim(eps) == 0 and np.ndim(alpha) == 0
-    eps = np.asarray(eps, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    if not (np.all(np.isfinite(alpha)) and np.all(alpha >= 1.0)):
-        raise DomainError("grad_log_ratio_gamma requires alpha >= 1")
-    s2 = 9.0 * alpha - 3.0
-    s = np.sqrt(s2)
-    y = 1.0 + eps / s
-    if not np.all(np.isfinite(eps)) or np.any(y <= 0.0):
-        raise DomainError("grad_log_ratio_gamma: eps outside the transform support")
-    d = alpha - 1.0 / 3.0
-    h = d * (y * y * y)
-    ha = y * y * (y - 1.5 * (eps / s))
-    dlogq = np.log(h) + (alpha - 1.0) * ha / h - ha - digamma(alpha)
-    dlogjac = 0.5 / d - 9.0 * eps / (y * s2 * s)
-    out = dlogq + dlogjac
-    return float(out) if scalar else out
-
-
-def _glr_psi(eps, alpha, psi_alpha):
-    """grad_log_ratio_gamma with psi(alpha) supplied (the bank's psi_eff).
-
-    The estimators pass alpha and psi(alpha) as (1, k) rows against
-    (replicates, k) eps, so a single replicate needs no broadcasting.
+    for well-behaved shapes. The estimators pass alpha and psi(alpha) as
+    (1, k) rows against (replicates, k) eps, so a single replicate needs
+    no broadcasting.
     """
     s2 = 9.0 * alpha - 3.0
     s = np.sqrt(s2)
     y = 1.0 + eps / s
     d = alpha - 1.0 / 3.0
-    h = d * (y * y * y)
-    ha = y * y * (y - 1.5 * (eps / s))
+    h = _h(alpha, y)
+    ha = _dh_dalpha(eps, s, y)
     return np.log(h) + (alpha - 1.0) * ha / h - ha - psi_alpha + 0.5 / d - 9.0 * eps / (y * s2 * s)
 
 
@@ -326,19 +309,21 @@ def _latents_from_mats(mats, n_latents):
     return lz_full
 
 
-def _eval_model(model, lz_full):
-    """log p and d log p / d log z at every row, one callback pair per row."""
+def _eval_model(model, lz_full, with_grad=True):
+    """log p and, if with_grad, d log p / d log z at every row, one
+    callback (pair) per row; the gradient is None without with_grad."""
     f = np.empty(lz_full.shape[0])
-    gf = np.empty(lz_full.shape)
+    gf = np.empty(lz_full.shape) if with_grad else None
     for g, lz in enumerate(lz_full):
         fg = float(model.log_joint(lz))
         if not math.isfinite(fg):
             raise DomainError(f"estimate rejected: log-joint is non-finite ({fg!r}) at log z = {lz!r}")
-        gg = np.asarray(model.grad_latents(lz), dtype=float)
-        if gg.shape != lz.shape or not np.isfinite(gg).all():
-            raise DomainError("estimate rejected: latent gradient is non-finite or mis-shaped")
         f[g] = fg
-        gf[g] = gg
+        if with_grad:
+            gg = np.asarray(model.grad_latents(lz), dtype=float)
+            if gg.shape != lz.shape or not np.isfinite(gg).all():
+                raise DomainError("estimate rejected: latent gradient is non-finite or mis-shaped")
+            gf[g] = gg
     return f, gf
 
 
@@ -352,7 +337,8 @@ def _pathwise_terms(bs, bank, bd, g_block, lz_block, weight=None):
     route through the simplex normalization, d ln z_k/d ln z1_j =
     delta_kj - z_j. `weight` holds one importance weight per row.
     """
-    dlogz1_da = dh_dalpha(bd.eps, bank.eff_shapes[None]) / bd.h + bd.aug_dsum
+    s = np.sqrt(9.0 * bank.eff_shapes[None] - 3.0)
+    dlogz1_da = _dh_dalpha(bd.eps, s, 1.0 + bd.eps / s) / bd.h + bd.aug_dsum
     if bs.pb.family == "gamma_mean_shape":
         rep = np.concatenate([g_block * (dlogz1_da - 1.0 / bs.shapes), g_block / bs.means], axis=-1)
     else:
@@ -380,8 +366,7 @@ def _draw_rsvi(plan, rows):
 def _draw_score(plan, rows):
     mats = _sample_blocks(plan, rows)
     lz_full = _latents_from_mats(mats, plan.model.n_latents)
-    f, _ = _eval_model(plan.model, lz_full)
-    f = f[:, None]
+    f = _eval_model(plan.model, lz_full, with_grad=False)[0][:, None]
     g_cor = np.zeros((rows.size, plan.n_params))
     trials = np.zeros(rows.size, dtype=np.int64)
     for (bs, _bank, bd), const in zip(mats, plan.state.score_consts):
@@ -418,11 +403,13 @@ def _draw_importance(plan, rows):
         inside = y > 0.0
         valid &= inside.all(axis=1)
         y = np.where(inside, y, 1.0)
+        # y**3 rounds differently from the y*y*y of rejection._h, and the
+        # pinned importance estimates depend on it
         h = (eff - 1.0 / 3.0) * y**3
         aug_u = rows.uniforms_open(bank.max_b * pb.dim).reshape(n_rows, bank.max_b, pb.dim)
         log_prod_u, aug_dsum = _augment(bank.shapes, bank.b_steps, aug_u)
         # rows past the boundary accumulate a finite value that is never used
-        log_w += _log_ratio_vec(eps, y, eff, bank.log_M).sum(axis=1)
+        log_w += _log_ratio(eps, y, eff, bank.log_M).sum(axis=1)
         log_z = np.log(h) + log_prod_u - np.log(bank.rates)
         drawn.append((bs, bank, (eps, h, aug_dsum, log_z, np.ones(eps.shape, dtype=np.int64), aug_u)))
     g_rep = np.zeros((n_rows, plan.n_params))
@@ -443,18 +430,6 @@ def _draw_importance(plan, rows):
         glr = _glr_psi(bd.eps, bank.eff_shapes[None], bank.psi_eff[None])
         g_cor[keep, pb.theta_slice.start : pb.theta_slice.start + pb.dim] = wf * glr
     return g_rep, g_cor, n_proposals
-
-
-def _log_ratio_vec(eps, y, alpha, log_m):
-    """Vectorized target/proposal log-ratio at the effective shapes.
-
-    y = 1 + eps / sqrt(9 alpha - 3). log_M (the bank's envelope constant,
-    the ratio's value at its mode eps = 0) plus the Marsaglia-Tsang kernel
-    log_ratio - log_M.
-    """
-    d = alpha - 1.0 / 3.0
-    v = y * y * y
-    return log_m + 0.5 * eps * eps + d * (1.0 - v + 3.0 * np.log(y))
 
 
 _DRAW_FNS = {
@@ -490,7 +465,23 @@ def _estimate_rows(plan, rows):
     return g_rep, g_cor, total, trials
 
 
-def _run_estimator(model, theta, cfg, stream, state=None):
+def estimate(
+    model, theta, cfg: EstimatorConfig, stream: RandomStream, *, state: ThetaState | None = None
+) -> GradientEstimate:
+    """One gradient estimate of the kind cfg.kind, from `stream`.
+
+    - rsvi: the decomposed pathwise estimator, one accepted eps per latent.
+      g_rep and g_cor come from the same draw; unbiased for the gradient of
+      E_q[f] + H[q].
+    - score_function: f(z) * grad log q(z), stored in g_cor (g_rep is
+      zero); no control variates are applied.
+    - importance: both terms weighted by prod q/r over all latents.
+
+    The entropy gradient is analytic. `state`, when given, is the
+    ThetaState of this model and theta; the estimate then reuses its
+    special functions and entropy gradient instead of building them, with
+    the same result.
+    """
     plan = _plan(model, _state_for(model, theta, state), cfg)
     rows = StreamBatch.of((stream,))
     try:
@@ -505,47 +496,6 @@ def _run_estimator(model, theta, cfg, stream, state=None):
         draws=cfg.draws,
         trials=int(trials[0]),
     )
-
-
-def estimate_gradient(model, theta, cfg: EstimatorConfig, stream: RandomStream) -> GradientEstimate:
-    """Decomposed pathwise estimator (one accepted eps per latent).
-
-    g_rep and g_cor come from the same draw; the entropy gradient is
-    analytic. Unbiased for the gradient of E_q[f] + H[q].
-    """
-    if cfg.kind != "rsvi":
-        raise ContractError(f"estimate_gradient runs kind='rsvi', got {cfg.kind!r}")
-    return _run_estimator(model, theta, cfg, stream)
-
-
-def estimate_gradient_score(model, theta, cfg, stream) -> GradientEstimate:
-    """Score-function estimator: f(z) * grad log q(z) + analytic entropy grad.
-
-    The score term is stored in the g_cor field (g_rep is zero); no control
-    variates are applied.
-    """
-    if cfg.kind != "score_function":
-        raise ContractError("estimate_gradient_score runs kind='score_function'")
-    return _run_estimator(model, theta, cfg, stream)
-
-
-def estimate_gradient_importance(model, theta, cfg, stream) -> GradientEstimate:
-    """Importance-weighted estimator with weights prod q/r over all latents."""
-    if cfg.kind != "importance":
-        raise ContractError("estimate_gradient_importance runs kind='importance'")
-    return _run_estimator(model, theta, cfg, stream)
-
-
-def estimate(
-    model, theta, cfg: EstimatorConfig, stream: RandomStream, *, state: ThetaState | None = None
-) -> GradientEstimate:
-    """Dispatch on cfg.kind.
-
-    `state`, when given, is the ThetaState of this model and theta; the
-    estimate then reuses its special functions and entropy gradient
-    instead of building them, with the same result.
-    """
-    return _run_estimator(model, theta, cfg, stream, state)
 
 
 def variance_profile(model, theta, cfg, G: int, stream: RandomStream) -> VarianceProfile:
@@ -578,11 +528,6 @@ def variance_profile(model, theta, cfg, G: int, stream: RandomStream) -> Varianc
         label=cfg.label,
         sample_count=G,
     )
-
-
-def entropy_total(model, theta) -> float:
-    """Analytic entropy of the full variational distribution at theta."""
-    return ThetaState(model, theta).entropy
 
 
 def estimate_elbo(

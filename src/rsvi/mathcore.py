@@ -25,8 +25,6 @@ __all__ = [
     "kolmogorov_sf",
     "RandomStream",
     "StreamBatch",
-    "draw_uniform",
-    "draw_std_normal",
     "finite_diff_grad",
 ]
 
@@ -400,22 +398,6 @@ def _poly(coefs, r):
     return s
 
 
-def _ppnd_scalar(u: float) -> float:
-    q = u - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        return q * _poly(_PPND_A, r) / _poly(_PPND_B, r)
-    r = u if q < 0.0 else 1.0 - u
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        r -= 1.6
-        x = _poly(_PPND_C, r) / _poly(_PPND_D, r)
-    else:
-        r -= 5.0
-        x = _poly(_PPND_E, r) / _poly(_PPND_F, r)
-    return -x if q < 0.0 else x
-
-
 def _ppnd_array(u: np.ndarray) -> np.ndarray:
     q = u - 0.5
     out = np.empty_like(u)
@@ -451,7 +433,7 @@ def std_normal_inv_cdf(u):
     if arr.size == 0 or not (np.all(arr > 0.0) and np.all(arr < 1.0)):
         raise DomainError("std_normal_inv_cdf requires u strictly in (0, 1)")
     if np.ndim(u) == 0:
-        return _ppnd_scalar(float(u))
+        return float(_ppnd_array(arr.reshape(1))[0])
     return _ppnd_array(arr)
 
 
@@ -571,7 +553,7 @@ class RandomStream:
         return ((self._next_u64() >> 11) + 0.5) * 2.0**-53
 
     def std_normal(self) -> float:
-        return _ppnd_scalar(self.uniform_open())
+        return float(self.std_normals(1)[0])
 
     def uniforms(self, n: int) -> np.ndarray:
         return (self._next_u64_block(int(n)) >> np.uint64(11)) * 2.0**-53
@@ -642,16 +624,6 @@ class StreamBatch:
         """Write the counters back to the streams the batch was made from."""
         for stream, counter in zip(self._streams, self.counters.tolist()):
             stream._counter = counter
-
-
-def draw_uniform(stream: RandomStream) -> float:
-    """Uniform draw in [0, 1) from the stream."""
-    return stream.uniform()
-
-
-def draw_std_normal(stream: RandomStream) -> float:
-    """Standard-normal draw from the stream (inversion method)."""
-    return stream.std_normal()
 
 
 # --- finite differences -------------------------------------------------------

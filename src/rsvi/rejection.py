@@ -17,13 +17,11 @@ itself often lies below the smallest positive double.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .distributions import DirichletParams, GammaParams, gamma_log_pdf
 from .exceptions import DomainError, SamplerStallError
 from .mathcore import (
     RandomStream,
@@ -37,8 +35,6 @@ from .mathcore import (
 
 __all__ = [
     "DEFAULT_TRIAL_BUDGET",
-    "AcceptedDraw",
-    "GammaSampler",
     "SamplerBank",
     "BankDraw",
     "BatchDraw",
@@ -46,12 +42,7 @@ __all__ = [
     "dh_deps",
     "dh_dalpha",
     "log_ratio_q_over_r",
-    "envelope_log_M",
-    "make_gamma_sampler",
-    "sample_gamma_eps",
     "make_sampler_bank",
-    "sample_dirichlet_eps",
-    "extras_transform",
 ]
 
 DEFAULT_TRIAL_BUDGET = 10**6
@@ -59,65 +50,79 @@ DEFAULT_TRIAL_BUDGET = 10**6
 _LN_SQRT_2PI = 0.9189385332046727
 
 
-def _check_shape_ge_one(alpha, name="alpha"):
+def _cube(name, eps, alpha):
+    """Checked inputs of the cube transform and of the formulas built on it.
+
+    Returns (scalar, eps, alpha, s, y) with s = sqrt(9 alpha - 3) and
+    y = 1 + eps/s, after checking alpha >= 1, eps finite and y > 0: at or
+    below eps = -s the cube leaves the gamma support, which the sampling
+    loop treats as an automatic rejection instead of calling in here.
+    """
     arr = np.asarray(alpha, dtype=float)
     if arr.size == 0 or not (np.isfinite(arr).all() and (arr >= 1.0).all()):
-        raise DomainError(f"{name} must be >= 1 for the cube transform, got {alpha!r}")
+        raise DomainError(f"{name}: alpha must be >= 1 for the cube transform, got {alpha!r}")
+    scalar = np.ndim(eps) == 0 and np.ndim(alpha) == 0
+    eps = np.asarray(eps, dtype=float)
+    if not np.isfinite(eps).all():
+        raise DomainError(f"{name}: non-finite eps")
+    s = np.sqrt(9.0 * arr - 3.0)
+    y = 1.0 + eps / s
+    if (y <= 0.0).any():
+        raise DomainError(f"{name}: eps at or below the support boundary -sqrt(9 alpha - 3)")
+    return scalar, eps, arr, s, y
+
+
+def _scalar_or_array(scalar, out):
+    return float(out) if scalar else out
+
+
+def _h(alpha, y):
+    """The cube transform (alpha - 1/3) y^3, y = 1 + eps/sqrt(9 alpha - 3)."""
+    return (alpha - 1.0 / 3.0) * (y * y * y)
+
+
+def _dh_dalpha(eps, s, y):
+    """d h / d alpha = y^3 - (3/2)(eps/s) y^2 at s = sqrt(9 alpha - 3).
+
+    The second term carries the derivative of 1/s through the cube.
+    """
+    return y * y * (y - 1.5 * (eps / s))
+
+
+def _log_ratio(eps, y, alpha, log_m):
+    """Target/proposal log-ratio at the shapes alpha, given log_M there.
+
+    log_M is the ratio's value at its mode eps = 0, and the Marsaglia-Tsang
+    kernel eps^2/2 + d (1 - y^3 + 3 ln y), d = alpha - 1/3, is the ratio
+    minus log_M.
+    """
+    d = alpha - 1.0 / 3.0
+    v = y * y * y
+    return log_m + 0.5 * eps * eps + d * (1.0 - v + 3.0 * np.log(y))
 
 
 def h_gam(eps, alpha):
     """Cube transform (alpha - 1/3)(1 + eps/sqrt(9 alpha - 3))^3, alpha >= 1.
 
-    Raises DomainError when eps is at or below -sqrt(9 alpha - 3), where the
-    cube leaves the gamma support; the sampling loop treats that region as an
-    automatic rejection instead of calling in here.
+    Raises DomainError when eps is at or below -sqrt(9 alpha - 3).
     """
-    _check_shape_ge_one(alpha)
-    scalar = np.ndim(eps) == 0 and np.ndim(alpha) == 0
-    eps = np.asarray(eps, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    if not np.all(np.isfinite(eps)):
-        raise DomainError("h_gam: non-finite eps")
-    y = 1.0 + eps / np.sqrt(9.0 * alpha - 3.0)
-    if np.any(y <= 0.0):
-        raise DomainError("h_gam: eps at or below the support boundary -sqrt(9 alpha - 3)")
-    out = (alpha - 1.0 / 3.0) * (y * y * y)
-    return float(out) if scalar else out
+    scalar, _eps, alpha, _s, y = _cube("h_gam", eps, alpha)
+    return _scalar_or_array(scalar, _h(alpha, y))
 
 
 def dh_deps(eps, alpha):
     """d h / d eps = 3 (alpha - 1/3)(1 + eps/sqrt(9a-3))^2 / sqrt(9a-3)."""
-    _check_shape_ge_one(alpha)
-    scalar = np.ndim(eps) == 0 and np.ndim(alpha) == 0
-    eps = np.asarray(eps, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    s = np.sqrt(9.0 * alpha - 3.0)
-    y = 1.0 + eps / s
-    if np.any(y <= 0.0):
-        raise DomainError("dh_deps: eps outside the transform support")
-    out = 3.0 * (alpha - 1.0 / 3.0) * (y * y) / s
-    return float(out) if scalar else out
+    scalar, _eps, alpha, s, y = _cube("dh_deps", eps, alpha)
+    return _scalar_or_array(scalar, 3.0 * (alpha - 1.0 / 3.0) * (y * y) / s)
 
 
 def dh_dalpha(eps, alpha):
-    """d h / d alpha = (1 + eps/s)^3 - (3/2) (eps/s) (1 + eps/s)^2, s = sqrt(9a-3).
-
-    Equivalently y^3 - (3/2) c eps y^2 with c = 1/s; the second term carries
-    the derivative of c through the cube.
-    """
-    _check_shape_ge_one(alpha)
-    scalar = np.ndim(eps) == 0 and np.ndim(alpha) == 0
-    eps = np.asarray(eps, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    s = np.sqrt(9.0 * alpha - 3.0)
-    y = 1.0 + eps / s
-    if (y <= 0.0).any():
-        raise DomainError("dh_dalpha: eps outside the transform support")
-    out = y * y * (y - 1.5 * (eps / s))
-    return float(out) if scalar else out
+    """d h / d alpha = (1 + eps/s)^3 - (3/2) (eps/s) (1 + eps/s)^2, s = sqrt(9a-3)."""
+    scalar, eps, _alpha, s, y = _cube("dh_dalpha", eps, alpha)
+    return _scalar_or_array(scalar, _dh_dalpha(eps, s, y))
 
 
-def log_ratio_q_over_r(eps, alpha) -> float:
+def log_ratio_q_over_r(eps, alpha):
     """ln q(h(eps); alpha, 1) - ln r(h(eps); alpha) for the cube transform.
 
     The proposal density on z-space is r(z) = s(eps)/|dh/deps|, so the ratio
@@ -125,33 +130,19 @@ def log_ratio_q_over_r(eps, alpha) -> float:
     accept variable leaves the accepted eps distributed as
     pi(eps) = s(eps) exp(log_ratio), which integrates to one.
     """
-    eps = float(eps)
-    alpha = float(alpha)
-    _check_shape_ge_one(alpha)
-    if not math.isfinite(eps):
-        raise DomainError("log_ratio_q_over_r: non-finite eps")
-    s = math.sqrt(9.0 * alpha - 3.0)
-    y = 1.0 + eps / s
-    if y <= 0.0:
-        raise DomainError("log_ratio_q_over_r: eps outside the transform support")
-    z = (alpha - 1.0 / 3.0) * (y * y * y)
-    jac = 3.0 * (alpha - 1.0 / 3.0) * (y * y) / s
-    return (
-        gamma_log_pdf(z, GammaParams(alpha, 1.0))
-        + math.log(jac)
-        + 0.5 * eps * eps
-        + _LN_SQRT_2PI
-    )
+    scalar, eps, alpha, _s, y = _cube("log_ratio_q_over_r", eps, alpha)
+    return _scalar_or_array(scalar, _log_ratio(eps, y, alpha, _log_m_at_mode(alpha)))
 
 
 def _log_m_at_mode(alpha):
-    """Envelope constant evaluated at the log-ratio mode eps = 0.
+    """Envelope constant ln M, the sup over eps of the log-ratio, alpha >= 1.
 
     For the cube transform the log-ratio derivative vanishes at eps = 0 and
     the ratio-minus-mode difference d [3 ln v - v^3 + 1 + 4.5 (v-1)^2] is
     non-positive for every v = 1 + c eps > 0, so the supremum is exactly the
     value at zero: (alpha - 1/2) ln(alpha - 1/3) - (alpha - 1/3)
-    + ln(sqrt(2 pi)) - ln Gamma(alpha). Shapes are taken to be checked.
+    + ln(sqrt(2 pi)) - ln Gamma(alpha). exp(-log_M) is the sampler's
+    acceptance probability. Shapes are taken to be checked.
     """
     lg = _lgamma_scalar(float(alpha)) if np.ndim(alpha) == 0 else _gamma_fns(alpha, lgamma=True)[0]
     d = np.asarray(alpha, dtype=float) - 1.0 / 3.0
@@ -159,146 +150,7 @@ def _log_m_at_mode(alpha):
     return float(out) if np.ndim(alpha) == 0 else out
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@lru_cache(maxsize=4096)
-def envelope_log_M(alpha: float) -> float:
-    """ln M = sup over eps of the target/proposal log-ratio, alpha >= 1.
-
-    Found by golden-section search (tolerance 1e-10 in eps) on the unimodal
-    log-ratio; exp(-log_M) is the sampler's acceptance probability.
-    """
-    alpha = float(alpha)
-    _check_shape_ge_one(alpha)
-    s = math.sqrt(9.0 * alpha - 3.0)
-    a, b = -0.999999 * s, 8.0
-
-    def fn(e):
-        return log_ratio_q_over_r(e, alpha)
-
-    c = b - _INVPHI * (b - a)
-    d_ = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d_)
-    for _ in range(400):
-        if b - a <= 1e-10:
-            break
-        if fc >= fd:
-            b, d_, fd = d_, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d_, fd
-            d_ = a + _INVPHI * (b - a)
-            fd = fn(d_)
-    else:  # pragma: no cover - the bracket shrinks geometrically
-        raise RuntimeError("golden-section search failed to converge")
-    return fn(0.5 * (a + b))
-
-
-@dataclass(frozen=True)
-class AcceptedDraw:
-    """One accepted run of the rejection sampler.
-
-    `epsilon` is the accepted proposal, `z` the rate- and augmentation-
-    adjusted gamma draw, `trials` the number of propose/test rounds, and
-    `aug_uniforms` the uniforms consumed by shape augmentation (in the order
-    they multiply into z).
-    """
-
-    epsilon: float
-    z: float
-    trials: int
-    aug_uniforms: tuple
-
-
-@dataclass(frozen=True)
-class GammaSampler:
-    """Precomputed rejection sampler for one gamma target.
-
-    `effective_shape` = target shape + `aug_B` is what the cube transform
-    runs at (augmentation guarantees it is >= 1); `log_M` is the envelope
-    constant at the effective shape.
-    """
-
-    target: GammaParams
-    aug_B: int
-    effective_shape: float
-    log_M: float
-
-    def recompute_z(self, epsilon: float, aug_uniforms) -> float:
-        """Rebuild z from an accepted epsilon and its augmentation uniforms.
-
-        Applies the exact operation order of the sampling loop, so the
-        result is bit-identical to the stored draw.
-        """
-        z = h_gam(epsilon, self.effective_shape)
-        a = self.target.shape
-        for j, u in enumerate(aug_uniforms):
-            z *= u ** (1.0 / (a + j))
-        return z / self.target.rate
-
-
-def make_gamma_sampler(p: GammaParams, B: int = 0) -> GammaSampler:
-    """Build a sampler for Gam(shape, rate) with B shape-augmentation steps.
-
-    Shapes below one force at least one augmentation step (z = u^(1/shape) *
-    z~ with z~ one shape higher is the B = 1 special case), so the transform
-    always runs at effective shape >= 1.
-    """
-    if not isinstance(p, GammaParams):
-        raise DomainError("make_gamma_sampler expects GammaParams")
-    B = int(B)
-    if B < 0:
-        raise DomainError("augmentation steps B must be >= 0")
-    if p.shape < 1.0:
-        B = max(B, 1)
-    eff = p.shape + B
-    return GammaSampler(target=p, aug_B=B, effective_shape=eff, log_M=envelope_log_M(eff))
-
-
-def sample_gamma_eps(
-    sampler: GammaSampler,
-    stream: RandomStream,
-    max_trials: int = DEFAULT_TRIAL_BUDGET,
-) -> AcceptedDraw:
-    """One accepted draw via propose/accept at the effective shape.
-
-    The acceptance test runs in log space: accept iff ln u < log_ratio(eps)
-    - log_M, which for the cube transform reduces to
-    ln u < eps^2/2 + d (1 - v + ln v) with d = eff - 1/3, v = (1 + eps/s)^3.
-    Proposals with 1 + eps/s <= 0 auto-reject.
-    """
-    eff = sampler.effective_shape
-    d = eff - 1.0 / 3.0
-    s = math.sqrt(9.0 * eff - 3.0)
-    trials = 0
-    while trials < max_trials:
-        trials += 1
-        eps = stream.std_normal()
-        u = stream.uniform_open()
-        y = 1.0 + eps / s
-        if y <= 0.0:
-            continue
-        v = y * y * y
-        if math.log(u) < 0.5 * eps * eps + d * (1.0 - v + 3.0 * math.log(y)):
-            z = d * v
-            a = sampler.target.shape
-            aug = []
-            for j in range(sampler.aug_B):
-                uj = stream.uniform_open()
-                aug.append(uj)
-                z *= uj ** (1.0 / (a + j))
-            return AcceptedDraw(
-                epsilon=eps,
-                z=z / sampler.target.rate,
-                trials=trials,
-                aug_uniforms=tuple(aug),
-            )
-    raise SamplerStallError(eff, sampler.log_M, trials)
-
-
-# --- vectorized sampling -------------------------------------------------------
+# --- sampling -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -309,10 +161,9 @@ class SamplerBank:
     rejection round draws one proposal normal and one acceptance uniform for
     every still-active element, then augmentation draws `max_b` rows of
     uniforms for all elements (rows past an element's own step count are
-    discarded). Deterministic for a given stream, but a different
-    consumption order than repeated scalar `sample_gamma_eps` calls.
-    `draw` and `draw_batch` are the one-stream case of `draw_streams`,
-    which draws from many streams at once with that layout on each.
+    discarded), so draws are deterministic for a given stream. `draw` and
+    `draw_batch` are the one-stream case of `draw_streams`, which draws
+    from many streams at once with that layout on each.
 
     `log_M` (the envelope constants) and `psi_eff` (digamma of the
     effective shapes) are computed on first use: the importance estimator
@@ -396,8 +247,7 @@ def _draw_rows(eff_shapes, shapes, b_steps, rates, streams: StreamBatch, max_tri
     # parameters as (1, elements) rows: with one stream every operation
     # below then meets equal shapes, which numpy runs without broadcasting
     eff_shapes, shapes, b_steps, rates = eff_shapes[None], shapes[None], b_steps[None], rates[None]
-    y = 1.0 + eps / np.sqrt(9.0 * eff_shapes - 3.0)
-    h = (eff_shapes - 1.0 / 3.0) * (y * y * y)
+    h = _h(eff_shapes, 1.0 + eps / np.sqrt(9.0 * eff_shapes - 3.0))
     log_prod_u, aug_dsum = _augment(shapes, b_steps, aug_u)
     log_z = np.log(h) + log_prod_u - np.log(rates)
     return eps, h, aug_dsum, log_z, trials, aug_u
@@ -547,10 +397,11 @@ def _build_bank(shapes: np.ndarray, rates: np.ndarray, B: int) -> SamplerBank:
 def make_sampler_bank(shapes, rates=1.0, B: int = 0) -> SamplerBank:
     """Vectorized sampler construction from checked parameters.
 
-    Each element gets the same per-element bump rule as make_gamma_sampler
-    (shape < 1 forces at least one augmentation step). The envelope constants
-    come from the closed mode evaluation, which the test suite pins against
-    the golden-section search.
+    Each element runs the cube transform at its effective shape, shape + B;
+    a shape below one forces at least one augmentation step, so the
+    effective shape is always >= 1. The envelope constants come from the
+    closed mode evaluation, which the test suite pins against a
+    golden-section search.
     """
     shapes = np.atleast_1d(np.asarray(shapes, dtype=float))
     k = shapes.size
@@ -560,65 +411,3 @@ def make_sampler_bank(shapes, rates=1.0, B: int = 0) -> SamplerBank:
     if B < 0:
         raise DomainError("augmentation steps B must be >= 0")
     return _build_bank(_as_param_array(shapes, k, "shapes"), _as_param_array(rates, k, "rates"), B)
-
-
-def sample_dirichlet_eps(p: DirichletParams, B: int, stream: RandomStream):
-    """Dirichlet draw via K independent rate-1 gamma samplers.
-
-    Returns (per-coordinate AcceptedDraws, simplex point); the AcceptedDraws
-    retain everything gradient estimation needs to differentiate through the
-    normalization.
-    """
-    bank = make_sampler_bank(p.conc, 1.0, B)
-    bd = bank.draw(stream)
-    simplex = np.exp(bd.log_z - np.logaddexp.reduce(bd.log_z))
-    z1 = bd.z
-    draws = []
-    for i in range(bank.size):
-        nb = int(bank.b_steps[i])
-        draws.append(
-            AcceptedDraw(
-                epsilon=float(bd.eps[i]),
-                z=float(z1[i]),
-                trials=int(bd.trials[i]),
-                aug_uniforms=tuple(float(u) for u in bd.aug_u[:nb, i]),
-            )
-        )
-    return draws, simplex
-
-
-# --- additional reparameterizable transforms -----------------------------------
-
-
-def extras_transform(family: str, eps: float, theta) -> float:
-    """Transforms for two further rejection-sampler families.
-
-    truncated_normal_tail: h = sqrt(a^2 - 2 ln eps) with eps ~ U(0, 1] maps to
-    the N(0,1) tail beyond a > 0. von_mises: the Best-Fisher (1979)
-    wrapped-Cauchy proposal angle, sign(eps) * arccos((1 + c cos(pi eps)) /
-    (c + cos(pi eps))) for eps ~ U[-1, 1]; output lies in [-pi, pi]. Provided
-    as bare transforms (no tuned envelopes or accept loops).
-    """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    eps = float(eps)
-    if family == "truncated_normal_tail":
-        if theta.size != 1 or not (np.isfinite(theta[0]) and theta[0] > 0.0):
-            raise DomainError("truncated_normal_tail needs one parameter a > 0")
-        if not (0.0 < eps <= 1.0):
-            raise DomainError("truncated_normal_tail needs eps in (0, 1]")
-        a = float(theta[0])
-        return math.sqrt(a * a - 2.0 * math.log(eps))
-    if family == "von_mises":
-        if theta.size != 1 or not (np.isfinite(theta[0]) and theta[0] > 0.0):
-            raise DomainError("von_mises needs one concentration parameter kappa > 0")
-        if not (-1.0 <= eps <= 1.0):
-            raise DomainError("von_mises needs eps in [-1, 1]")
-        kappa = float(theta[0])
-        r = 1.0 + math.sqrt(1.0 + 4.0 * kappa * kappa)
-        rho = (r - math.sqrt(2.0 * r)) / (2.0 * kappa)
-        c = (1.0 + rho * rho) / (2.0 * rho)
-        w = math.cos(math.pi * eps)
-        f = (1.0 + c * w) / (c + w)
-        f = min(1.0, max(-1.0, f))
-        return math.copysign(math.acos(f), eps) if eps != 0.0 else 0.0
-    raise DomainError(f"unknown extras family {family!r}")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -57,3 +59,54 @@ def def_small_spec(def_small):
 
 def fresh_stream(seed, stream_id=0):
     return RandomStream(seed, stream_id)
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def log_ratio_reference(eps, alpha):
+    """ln q(h(eps); alpha, 1) + ln dh/deps + eps^2/2 + ln sqrt(2 pi), the
+    target/proposal log-ratio written out from the gamma log-density."""
+    s = math.sqrt(9.0 * alpha - 3.0)
+    y = 1.0 + eps / s
+    z = (alpha - 1.0 / 3.0) * y**3
+    jac = 3.0 * (alpha - 1.0 / 3.0) * y * y / s
+    log_q = (alpha - 1.0) * math.log(z) - z - math.lgamma(alpha)
+    return log_q + math.log(jac) + 0.5 * eps * eps + 0.5 * math.log(2.0 * math.pi)
+
+
+def envelope_log_M(alpha):
+    """ln M = sup over eps of the log-ratio, alpha >= 1, by golden-section
+    search (tolerance 1e-10 in eps) on the unimodal reference log-ratio.
+
+    The oracle for the closed mode value rsvi.rejection._log_m_at_mode.
+    """
+    alpha = float(alpha)
+    a, b = -0.999999 * math.sqrt(9.0 * alpha - 3.0), 8.0
+
+    def fn(e):
+        return log_ratio_reference(e, alpha)
+
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > 1e-10:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = fn(d)
+    return fn(0.5 * (a + b))
+
+
+@pytest.fixture(scope="session")
+def golden_log_m():
+    return envelope_log_M
+
+
+@pytest.fixture(scope="session")
+def reference_log_ratio():
+    return log_ratio_reference

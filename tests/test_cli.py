@@ -5,6 +5,7 @@ import numpy as np
 from rsvi import cli
 from rsvi.exceptions import DomainError, OptimizerAbortError, SamplerStallError
 from rsvi.models import ModelSpec
+from rsvi.rejection import _log_m_at_mode
 
 
 def run_cli(*argv):
@@ -33,6 +34,19 @@ class TestSample:
         pval = float(summary.split("ks_pvalue=")[1].split()[0])
         assert pval > 0.01
         assert len(lines) == 50000 + 3
+
+    def test_summary_reports_the_bank_envelope(self, tmp_path, golden_log_m):
+        # shape 0.5 forces one augmentation step (the bump rule), so the
+        # transform runs at effective shape 1.5 even with --b 0
+        out = tmp_path / "g.csv"
+        assert run_cli(
+            "sample", "--alpha", "0.5", "--b", "0", "--n-draws", "200", "--seed", "1", "--out", str(out),
+        ) == 0
+        summary = out.read_text().splitlines()[-1]
+        assert summary.split("effective_shape=")[1] == "1.5"
+        log_m = float(summary.split("log_M=")[1].split()[0])
+        assert log_m == _log_m_at_mode(1.5)
+        assert abs(log_m - golden_log_m(1.5)) <= 1e-12
 
     def test_zero_draws(self, tmp_path):
         out = tmp_path / "empty.csv"

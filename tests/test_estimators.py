@@ -9,12 +9,8 @@ from rsvi.estimators import (
     EstimatorConfig,
     ThetaState,
     default_theta_init,
-    entropy_total,
     estimate,
     estimate_elbo,
-    estimate_gradient,
-    estimate_gradient_importance,
-    estimate_gradient_score,
     grad_log_ratio_gamma,
     param_layout,
     variance_profile,
@@ -68,15 +64,6 @@ class TestConfigAndLayout:
             EstimatorConfig(aug_b=-1)
         with pytest.raises(ContractError):
             EstimatorConfig(draws=0)
-
-    def test_kind_guards(self, conj5_spec, theta5):
-        stream = RandomStream(0, 0)
-        with pytest.raises(ContractError):
-            estimate_gradient(conj5_spec, theta5, EstimatorConfig("score_function"), stream)
-        with pytest.raises(ContractError):
-            estimate_gradient_score(conj5_spec, theta5, EstimatorConfig("rsvi"), stream)
-        with pytest.raises(ContractError):
-            estimate_gradient_importance(conj5_spec, theta5, EstimatorConfig("rsvi"), stream)
 
     def test_param_layout_mixed(self, def_small_spec):
         blocks, n = param_layout(def_small_spec)
@@ -273,6 +260,36 @@ class TestReplicateBatch:
         assert root.counter == 0
 
 
+class TestModelCallbacks:
+    @staticmethod
+    def _nan_gradient_model(calls):
+        def grad(lz):
+            calls.append(lz)
+            return np.full(lz.shape, np.nan)
+
+        def log_joint(lz):
+            return float(-np.exp(lz).sum())
+
+        return ModelSpec((LatentBlock("z", "gamma_mean_shape", 2),), log_joint, grad)
+
+    def test_score_function_never_asks_for_the_gradient(self):
+        calls = []
+        spec = self._nan_gradient_model(calls)
+        theta = np.array([1.5, 0.7, 2.0, 1.0])
+        est = estimate(spec, theta, EstimatorConfig("score_function", draws=3), RandomStream(4, 0))
+        assert np.all(np.isfinite(est.total)) and not calls
+        profile = variance_profile(spec, theta, EstimatorConfig("score_function"), 20, RandomStream(4, 0))
+        assert np.all(np.isfinite(profile.variances)) and not calls
+
+    @pytest.mark.parametrize("kind", ["rsvi", "importance"])
+    def test_pathwise_estimators_reject_a_nan_gradient(self, kind):
+        calls = []
+        spec = self._nan_gradient_model(calls)
+        with pytest.raises(DomainError, match="latent gradient"):
+            estimate(spec, np.array([1.5, 0.7, 2.0, 1.0]), EstimatorConfig(kind, aug_b=1), RandomStream(4, 0))
+        assert calls
+
+
 class TestElbo:
     def test_matches_exact_conjugate_value(self, conj5, conj5_spec, theta5, q5):
         exact = conjugate_elbo_exact(conj5, q5)
@@ -292,7 +309,7 @@ class TestElbo:
     def test_entropy_total_matches_dirichlet(self, conj5_spec, theta5, q5):
         from rsvi.distributions import dirichlet_entropy
 
-        assert entropy_total(conj5_spec, theta5) == pytest.approx(dirichlet_entropy(q5), rel=1e-12)
+        assert ThetaState(conj5_spec, theta5).entropy == pytest.approx(dirichlet_entropy(q5), rel=1e-12)
 
 
 class TestThetaState:
@@ -332,7 +349,18 @@ class TestThetaState:
         handed_values = [estimate_elbo(spec, theta, 7, handed, state=state) for _ in range(2)]
         assert np.array_equal(values, handed_values)
         assert alone.counter == handed.counter
-        assert state.entropy == entropy_total(spec, theta)
+        assert state.entropy == ThetaState(spec, theta).entropy
+
+    def test_gamma_entropy_is_the_public_formula(self):
+        # one mean-shape latent per state, so its sums hold a single term
+        from rsvi.distributions import GammaMeanShapeParams, gamma_entropy, gamma_entropy_grad_mean_shape
+
+        spec = gamma_toy_model([1.0], [1.0])
+        for shape, mean in [(0.3, 2.0), (1.0, 1.0), (4.7, 0.2), (40.0, 9.0)]:
+            state = ThetaState(spec, np.array([shape, mean]))
+            p = GammaMeanShapeParams(shape, mean)
+            assert state.entropy == gamma_entropy(p.as_shape_rate())
+            assert state.g_entropy.tolist() == list(gamma_entropy_grad_mean_shape(p))
 
     def test_state_of_another_theta_or_model_rejected(self, conj5_spec, theta5):
         state = ThetaState(conj5_spec, theta5)

@@ -12,8 +12,6 @@ from rsvi.mathcore import (
     StreamBatch,
     _gamma_fns,
     digamma,
-    draw_std_normal,
-    draw_uniform,
     finite_diff_grad,
     kolmogorov_sf,
     log_gamma_fn,
@@ -192,6 +190,12 @@ class TestNormalInverseCdf:
         ref = stats.norm.ppf(us)
         assert np.max(np.abs(ours - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-13
 
+    def test_scalar_is_the_one_element_array_case(self):
+        us = np.array([1e-300, 1e-5, 0.02425, 0.3, 0.5, 0.7, 0.97575, 1.0 - 1e-16])
+        ours = [std_normal_inv_cdf(float(u)) for u in us]
+        assert all(type(x) is float for x in ours)
+        assert ours == std_normal_inv_cdf(us).tolist()
+
     def test_domain(self):
         for bad in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(DomainError):
@@ -203,13 +207,13 @@ class TestRandomStream:
         a = RandomStream(123, 9)
         b = RandomStream(123, 9)
         assert np.array_equal(a.uniforms(2000), b.uniforms(2000))
-        assert draw_std_normal(a) == draw_std_normal(b)
+        assert a.std_normal() == b.std_normal()
 
     def test_scalar_and_batch_agree(self):
         a = RandomStream(5, 2)
         b = RandomStream(5, 2)
         batch = a.uniforms(64)
-        assert [draw_uniform(b) for _ in range(64)] == batch.tolist()
+        assert [b.uniform() for _ in range(64)] == batch.tolist()
         a2, b2 = RandomStream(5, 3), RandomStream(5, 3)
         assert np.array_equal(a2.std_normals(32), np.array([b2.std_normal() for _ in range(32)]))
 

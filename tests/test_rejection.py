@@ -5,23 +5,17 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate, special, stats
 
-from rsvi.distributions import DirichletParams, GammaParams
+from rsvi.distributions import DirichletParams
 from rsvi.estimators import EstimatorConfig, estimate
 from rsvi.exceptions import DomainError, SamplerStallError
 from rsvi.mathcore import RandomStream, StreamBatch, finite_diff_grad
 from rsvi.models import LatentBlock, ModelSpec
 from rsvi.rejection import (
-    AcceptedDraw,
     dh_dalpha,
     dh_deps,
-    envelope_log_M,
-    extras_transform,
     h_gam,
     log_ratio_q_over_r,
-    make_gamma_sampler,
     make_sampler_bank,
-    sample_dirichlet_eps,
-    sample_gamma_eps,
     _log_m_at_mode,
 )
 
@@ -70,6 +64,14 @@ class TestLogRatio:
         val, _ = integrate.quad(pi_density, lo, 12.0, limit=300)
         assert val == pytest.approx(1.0, abs=1e-6)
 
+    def test_matches_reference_formula(self, reference_log_ratio):
+        for a in (1.0, 1.7, 10.0, 250.0):
+            for e in (-0.9 * math.sqrt(9.0 * a - 3.0), -1.0, 0.0, 0.3, 4.0):
+                ref = reference_log_ratio(e, a)
+                assert log_ratio_q_over_r(e, a) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        eps = np.array([-1.0, 0.0, 2.0])
+        assert np.array_equal(log_ratio_q_over_r(eps, 2.0), [log_ratio_q_over_r(float(e), 2.0) for e in eps])
+
     def test_finite_and_smooth_at_zero(self):
         for a in (1.0, 2.0, 10.0):
             vals = [log_ratio_q_over_r(e, a) for e in (-1e-4, 0.0, 1e-4)]
@@ -91,70 +93,28 @@ class TestLogRatio:
 
 
 class TestEnvelope:
-    def test_golden_section_matches_mode_evaluation(self):
+    def test_golden_section_matches_mode_evaluation(self, golden_log_m):
         for a in [1.0, 1.3, 2.0, 5.0, 17.0, 100.0, 1e4]:
             tol = 1e-12 + 4e-16 * a * max(1.0, math.log(a))
-            assert abs(envelope_log_M(a) - _log_m_at_mode(a)) <= tol
+            assert abs(golden_log_m(a) - _log_m_at_mode(a)) <= tol
 
     def test_acceptance_probabilities_match_reported(self):
-        assert math.exp(-envelope_log_M(2.0)) == pytest.approx(0.98, abs=0.005)
-        assert math.exp(-envelope_log_M(1.0)) >= 0.95
+        assert math.exp(-_log_m_at_mode(2.0)) == pytest.approx(0.98, abs=0.005)
+        assert math.exp(-_log_m_at_mode(1.0)) >= 0.95
 
     def test_acceptance_non_decreasing_in_shape(self):
-        acc = [math.exp(-envelope_log_M(a)) for a in (1.0, 2.0, 5.0, 10.0, 100.0)]
+        acc = [math.exp(-_log_m_at_mode(a)) for a in (1.0, 2.0, 5.0, 10.0, 100.0)]
         assert all(b >= a for a, b in zip(acc, acc[1:]))
 
     def test_huge_shape_accepts_almost_surely(self):
-        assert math.exp(-envelope_log_M(1e4)) >= 0.999
+        assert math.exp(-_log_m_at_mode(1e4)) >= 0.999
 
     def test_is_an_upper_bound_on_probes(self):
         for a in (1.0, 2.0, 10.0):
-            log_m = envelope_log_M(a)
+            log_m = _log_m_at_mode(a)
             s = math.sqrt(9.0 * a - 3.0)
             grid = np.linspace(-0.999 * s, 8.0, 1000)
-            worst = max(log_ratio_q_over_r(float(e), a) for e in grid)
-            assert worst <= log_m + 1e-9
-
-
-class TestScalarSampler:
-    def test_bump_rule(self):
-        sp = make_gamma_sampler(GammaParams(0.1, 1.0), 0)
-        assert sp.aug_B == 1 and sp.effective_shape == pytest.approx(1.1)
-        sp = make_gamma_sampler(GammaParams(2.0, 1.0), 4)
-        assert sp.aug_B == 4 and sp.effective_shape == 6.0
-        with pytest.raises(DomainError):
-            make_gamma_sampler(GammaParams(2.0, 1.0), -1)
-
-    def test_draw_fields_and_recomputability(self):
-        sp = make_gamma_sampler(GammaParams(0.5, 2.0), 2)
-        stream = RandomStream(17, 0)
-        for _ in range(200):
-            draw = sample_gamma_eps(sp, stream)
-            assert isinstance(draw, AcceptedDraw)
-            assert draw.trials >= 1
-            assert len(draw.aug_uniforms) == sp.aug_B
-            assert all(0.0 < u < 1.0 for u in draw.aug_uniforms)
-            assert sp.recompute_z(draw.epsilon, draw.aug_uniforms) == draw.z
-
-    def test_empirical_acceptance_matches_envelope(self):
-        sp = make_gamma_sampler(GammaParams(2.0, 1.0), 0)
-        stream = RandomStream(5, 0)
-        draws = [sample_gamma_eps(sp, stream) for _ in range(20000)]
-        acc = len(draws) / sum(d.trials for d in draws)
-        assert acc == pytest.approx(math.exp(-sp.log_M), abs=0.005)
-
-    @pytest.mark.parametrize("a,b,B", [(2.0, 1.0, 0), (0.5, 2.0, 1), (10.0, 3.0, 4)])
-    def test_marginal_ks(self, a, b, B):
-        sp = make_gamma_sampler(GammaParams(a, b), B)
-        stream = RandomStream(101, int(10 * a + B))
-        z = np.array([sample_gamma_eps(sp, stream).z for _ in range(20000)])
-        p = stats.kstest(z, lambda x: stats.gamma.cdf(x, a, scale=1.0 / b)).pvalue
-        assert p > 0.01
-
-    def test_stall_budget(self):
-        sp = make_gamma_sampler(GammaParams(2.0, 1.0), 0)
-        with pytest.raises(SamplerStallError):
-            sample_gamma_eps(sp, RandomStream(0, 0), max_trials=0)
+            assert np.max(log_ratio_q_over_r(grid, a)) <= log_m + 1e-9
 
 
 class TestProposition1Moments:
@@ -175,6 +135,19 @@ class TestProposition1Moments:
 
 
 class TestBankSampler:
+    def test_bump_rule(self):
+        bank = make_sampler_bank(np.array([0.1, 2.0]), 1.0, 0)
+        assert bank.b_steps.tolist() == [1, 0]
+        assert bank.eff_shapes.tolist() == [0.1 + 1, 2.0]
+        assert make_sampler_bank(2.0, 1.0, 4).eff_shapes.tolist() == [6.0]
+        with pytest.raises(DomainError):
+            make_sampler_bank(2.0, 1.0, -1)
+
+    def test_empirical_acceptance_matches_envelope(self):
+        bank = make_sampler_bank(np.array([2.0]), 1.0, 0)
+        trials = bank.draw_batch(RandomStream(5, 0), 20000).trials
+        assert trials.size / trials.sum() == pytest.approx(math.exp(-bank.log_M[0]), abs=0.005)
+
     def test_deterministic(self):
         bank = make_sampler_bank(np.array([0.5, 2.0, 7.0]), np.array([1.0, 2.0, 0.5]), 1)
         a = bank.draw_batch(RandomStream(3, 3), 500)
@@ -219,12 +192,7 @@ class TestBankSampler:
             bank.draw(stream, max_trials=0)
         assert info.value.trials == 0 and stream.counter == 0
         assert info.value.shape == 2.0
-        assert info.value.log_m == pytest.approx(envelope_log_M(2.0), abs=1e-9)
-        # the scalar path reports the same budget and envelope
-        with pytest.raises(SamplerStallError) as scalar:
-            sample_gamma_eps(make_gamma_sampler(GammaParams(2.0, 1.0), 0), RandomStream(0, 0), max_trials=0)
-        assert scalar.value.trials == 0
-        assert scalar.value.log_m == pytest.approx(info.value.log_m, abs=1e-9)
+        assert info.value.log_m == _log_m_at_mode(2.0)
 
     def test_stall_after_one_round(self):
         # at shape 1 about 5% of proposals reject, so 500 elements need a second round
@@ -233,7 +201,7 @@ class TestBankSampler:
         with pytest.raises(SamplerStallError) as info:
             bank.draw_batch(stream, 500, max_trials=1)
         assert info.value.trials == 1 and info.value.shape == 1.0
-        assert info.value.log_m == pytest.approx(envelope_log_M(1.0), abs=1e-9)
+        assert info.value.log_m == _log_m_at_mode(1.0)
         assert stream.counter == 2 * 500  # one round ran: a normal and a uniform each
 
     def test_streams_match_one_at_a_time(self):
@@ -276,21 +244,23 @@ class TestLogSpaceDraws:
         assert np.all(np.isfinite(est.total))
 
 
+def _simplex(log_z):
+    """Bank draws normalized onto the simplex in log space."""
+    return np.exp(log_z - np.logaddexp.reduce(log_z, axis=-1, keepdims=True))
+
+
 class TestDirichletSampling:
     def test_simplex_and_fields(self):
-        p = DirichletParams(np.array([2.0, 3.0, 5.0]))
-        draws, simplex = sample_dirichlet_eps(p, 1, RandomStream(11, 0))
-        assert len(draws) == 3
-        assert abs(simplex.sum() - 1.0) <= 1e-12
-        for d in draws:
-            assert d.trials >= 1 and len(d.aug_uniforms) == 1
+        bank = make_sampler_bank(np.array([2.0, 3.0, 5.0]), 1.0, 1)
+        bd = bank.draw(RandomStream(11, 0))
+        assert abs(_simplex(bd.log_z).sum() - 1.0) <= 1e-12
+        assert np.all(bd.trials >= 1) and bd.aug_u.shape == (1, 3)
 
     def test_symmetric_means(self):
         k, n = 4, 30000
         p = DirichletParams(np.full(k, 2.5))
         bank = make_sampler_bank(p.conc, 1.0, 0)
-        z1 = bank.draw_batch(RandomStream(13, 0), n).z
-        simplex = z1 / z1.sum(axis=1, keepdims=True)
+        simplex = _simplex(bank.draw_batch(RandomStream(13, 0), n).log_z)
         mean = simplex.mean(axis=0)
         a0 = k * 2.5
         se = math.sqrt((2.5 / a0) * (1 - 2.5 / a0) / (a0 + 1.0) / n)
@@ -300,50 +270,16 @@ class TestDirichletSampling:
         p = DirichletParams(np.array([2.0, 3.0, 5.0]))
         n = 30000
         bank = make_sampler_bank(p.conc, 1.0, 1)
-        z1 = bank.draw_batch(RandomStream(14, 0), n).z
-        simplex = z1 / z1.sum(axis=1, keepdims=True)
+        simplex = _simplex(bank.draw_batch(RandomStream(14, 0), n).log_z)
         target = p.conc / p.conc.sum()
         for i in range(3):
             se = math.sqrt(target[i] * (1 - target[i]) / (p.conc.sum() + 1.0) / n)
             assert abs(simplex[:, i].mean() - target[i]) <= 4.0 * se
 
-
-class TestExtras:
-    def test_truncated_normal_values(self):
-        assert extras_transform("truncated_normal_tail", 1.0, [2.0]) == pytest.approx(2.0)
-        assert extras_transform("truncated_normal_tail", math.exp(-2.0), [2.0]) == pytest.approx(
-            math.sqrt(8.0)
-        )
-
-    def test_truncated_normal_proposal_law(self):
-        # h maps uniforms onto the tail proposal r(z) = z exp((a^2 - z^2)/2),
-        # z >= a (the accept step is not part of the transform)
-        a, n = 1.5, 20000
-        u = RandomStream(21, 0).uniforms_open(n)
-        draws = np.array([extras_transform("truncated_normal_tail", float(e), [a]) for e in u])
-        assert np.all(draws >= a)
-        cdf = lambda x: 1.0 - np.exp((a * a - x * x) / 2.0)
-        assert stats.kstest(draws, cdf).pvalue > 0.01
-        # the target/proposal ratio is bounded (sup at z = a), so a rejection
-        # loop built on h would have a finite envelope
-        ratio = stats.norm.pdf(draws) / stats.norm.sf(a) / (draws * np.exp((a * a - draws**2) / 2.0))
-        bound = stats.norm.pdf(a) / stats.norm.sf(a) / a
-        assert np.all(ratio <= bound + 1e-12)
-
-    def test_von_mises_range(self):
-        stream = RandomStream(22, 0)
-        for _ in range(1000):
-            e = -1.0 + 2.0 * stream.uniform()
-            kappa = 0.05 + 10.0 * stream.uniform()
-            angle = extras_transform("von_mises", e, [kappa])
-            assert -math.pi <= angle <= math.pi
-
-    def test_domains(self):
-        with pytest.raises(DomainError):
-            extras_transform("truncated_normal_tail", 0.0, [2.0])
-        with pytest.raises(DomainError):
-            extras_transform("von_mises", 1.5, [2.0])
-        with pytest.raises(DomainError):
-            extras_transform("von_mises", 0.5, [-1.0])
-        with pytest.raises(DomainError):
-            extras_transform("cauchy", 0.5, [1.0])
+    def test_tiny_concentrations_stay_on_the_simplex(self):
+        # most draws lie below the smallest double; the log-space
+        # normalization must not give 0/0
+        bank = make_sampler_bank(np.array([1e-3, 2e-3]), 1.0, 0)
+        simplex = _simplex(bank.draw_batch(RandomStream(15, 0), 500).log_z)
+        assert np.all(np.isfinite(simplex))
+        assert np.allclose(simplex.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
