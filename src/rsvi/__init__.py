@@ -14,10 +14,8 @@ from .distributions import (
     dirichlet_entropy,
     dirichlet_entropy_grad,
     dirichlet_kl,
-    dirichlet_log_pdf,
     gamma_entropy,
     gamma_entropy_grad,
-    gamma_log_pdf,
 )
 from .engine import RunConfig, TraceRecord, run_rsvi, softplus, softplus_inv, step_size
 from .estimators import (

@@ -357,10 +357,14 @@ def _conjugate_from_cfg(cfg):
         raise ConfigError(str(exc)) from exc
 
 
-def _def_from_cfg(cfg, n_obs_key="n-obs"):
+def _def_from_cfg(cfg):
+    """The layered count model on the --data file (fit only) or on synthetic counts."""
     layers = tuple(cfg["layers"])
-    data_stream = RandomStream(cfg["data-seed"], 977)
-    counts, _ = make_synthetic_def_data(layers, int(cfg[n_obs_key]), int(cfg["n-dim"]), data_stream)
+    if cfg.get("data"):
+        counts = _load_counts(cfg["data"], cfg["format"])
+    else:
+        data_stream = RandomStream(cfg["data-seed"], 977)
+        counts, _ = make_synthetic_def_data(layers, int(cfg["n-obs"]), int(cfg["n-dim"]), data_stream)
     try:
         return SparseGammaDEF(layers, counts)
     except DomainError as exc:
@@ -533,22 +537,7 @@ def _param_names(spec) -> list:
 
 def cmd_fit(cfg: dict) -> int:
     _require_out(cfg)
-    if cfg["model"] == "conjugate":
-        model = _conjugate_from_cfg(cfg)
-        spec = conjugate_model_spec(model)
-    else:
-        layers = tuple(cfg["layers"])
-        if cfg["data"]:
-            counts = _load_counts(cfg["data"], cfg["format"])
-        else:
-            counts, _ = make_synthetic_def_data(
-                layers, int(cfg["n-obs"]), int(cfg["n-dim"]), RandomStream(cfg["data-seed"], 977)
-            )
-        try:
-            model = SparseGammaDEF(layers, counts)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
-        spec = def_model_spec(model)
+    model, spec = _spec_for(cfg)
     try:
         run_cfg = RunConfig(
             estimator=EstimatorConfig(kind=cfg["estimator"], aug_b=int(cfg["b"]), draws=int(cfg["draws"])),

@@ -1,4 +1,4 @@
-"""Gamma and Dirichlet densities, entropies and entropy gradients.
+"""Gamma and Dirichlet parameters, entropies and entropy gradients.
 
 The two gamma parameterizations are distinct types on purpose: shape/rate is
 the natural density parameterization, shape/mean is what the layered count
@@ -27,18 +27,13 @@ __all__ = [
     "GammaParams",
     "GammaMeanShapeParams",
     "DirichletParams",
-    "gamma_log_pdf",
     "gamma_entropy",
     "gamma_entropy_grad",
     "gamma_entropy_grad_mean_shape",
-    "dirichlet_log_pdf",
     "dirichlet_entropy",
     "dirichlet_entropy_grad",
     "dirichlet_kl",
 ]
-
-_SIMPLEX_TOL = 1e-9
-
 
 def _require_positive_scalar(value, name):
     v = float(value)
@@ -95,26 +90,6 @@ class DirichletParams:
         return self.conc.size
 
 
-def gamma_log_pdf(z, p: GammaParams):
-    """log Gamma(z; shape, rate); -inf for z outside the support (z <= 0)."""
-    a, b = p.shape, p.rate
-    norm = a * math.log(b) - log_gamma_fn(a)
-    if np.ndim(z) == 0:
-        z = float(z)
-        if not math.isfinite(z):
-            raise DomainError(f"gamma_log_pdf: non-finite z {z!r}")
-        if z <= 0.0:
-            return -math.inf
-        return (a - 1.0) * math.log(z) - b * z + norm
-    z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise DomainError("gamma_log_pdf: non-finite entries in z")
-    out = np.full(z.shape, -np.inf)
-    ok = z > 0.0
-    out[ok] = (a - 1.0) * np.log(z[ok]) - b * z[ok] + norm
-    return out
-
-
 def _gamma_entropy(shapes, rates, lg_shapes, psi_shapes):
     """Entropy shape - ln rate + ln Gamma(shape) + (1 - shape) psi(shape),
     elementwise, given ln Gamma and psi of the shapes."""
@@ -143,31 +118,6 @@ def gamma_entropy_grad(p: GammaParams) -> tuple[float, float]:
 def gamma_entropy_grad_mean_shape(p: GammaMeanShapeParams) -> tuple[float, float]:
     """(dH/dshape, dH/dmean) at fixed mean resp. fixed shape."""
     return _gamma_entropy_grad_mean_shape(p.shape, p.mean, _trigamma_scalar(p.shape))
-
-
-def _check_simplex(z) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 1 or z.size < 2:
-        raise DomainError("simplex point must be a 1-d vector with K >= 2")
-    if not np.all(np.isfinite(z)):
-        raise DomainError("simplex point has non-finite entries")
-    if abs(float(z.sum()) - 1.0) > _SIMPLEX_TOL:
-        raise DomainError(
-            f"point is off the simplex: sum = {float(z.sum())!r} (tolerance {_SIMPLEX_TOL})"
-        )
-    return z
-
-
-def dirichlet_log_pdf(z, p: DirichletParams) -> float:
-    """log Dir(z; conc); -inf on the boundary, DomainError off the simplex."""
-    z = _check_simplex(z)
-    a = p.conc
-    if z.size != a.size:
-        raise DomainError(f"dimension mismatch: z has {z.size}, params {a.size}")
-    if np.any(z <= 0.0) or np.any(z >= 1.0):
-        return -math.inf
-    norm = log_gamma_fn(float(a.sum())) - float(np.sum(log_gamma_fn(a)))
-    return float(np.dot(a - 1.0, np.log(z))) + norm
 
 
 def dirichlet_entropy(p: DirichletParams) -> float:

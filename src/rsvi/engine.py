@@ -34,6 +34,12 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
+# exponent offset delta and second-moment weight t of the step schedule
+STEP_DELTA = 1e-16
+STEP_MOMENT_WEIGHT = 0.1
+# consecutive failed iterations that abort a run
+MAX_FAILURES = 3
+
 
 def softplus(x):
     """theta = ln(1 + e^x); overflow-safe at both tails."""
@@ -76,8 +82,6 @@ class OptimizerState:
     n: int
     s: np.ndarray
     eta: float
-    delta: float = 1e-16
-    t: float = 0.1
 
 
 def init_optimizer(eta: float, n_params: int) -> OptimizerState:
@@ -95,9 +99,10 @@ def step_size(state: OptimizerState, g: np.ndarray):
     g = np.asarray(g, dtype=float)
     if g.shape != state.s.shape or not np.all(np.isfinite(g)):
         raise DomainError("step_size requires a finite gradient of matching shape")
-    s = g * g if state.n == 1 else state.t * (g * g) + (1.0 - state.t) * state.s
-    rho = state.eta * float(state.n) ** (-0.5 + state.delta) / (1.0 + np.sqrt(s))
-    nxt = OptimizerState(n=state.n + 1, s=s, eta=state.eta, delta=state.delta, t=state.t)
+    t = STEP_MOMENT_WEIGHT
+    s = g * g if state.n == 1 else t * (g * g) + (1.0 - t) * state.s
+    rho = state.eta * float(state.n) ** (-0.5 + STEP_DELTA) / (1.0 + np.sqrt(s))
+    nxt = OptimizerState(n=state.n + 1, s=s, eta=state.eta)
     return rho, nxt
 
 
@@ -126,7 +131,6 @@ class RunConfig:
     elbo_draws: int = 100
     stop_tol: float | None = 1e-6
     stop_window: int = 200
-    max_failures: int = 3
 
     def __post_init__(self):
         if self.max_iters < 0 or self.elbo_draws < 1 or self.stop_window < 1:
@@ -150,7 +154,7 @@ def run_rsvi(model, theta_init, cfg: RunConfig, stream: RandomStream):
     estimate, the step, or the reported ELBO fails the iteration: its step
     is discarded, so parameters and optimizer state stay at the last
     iterate whose gradient and ELBO were both finite, and no trace record
-    is written. max_failures consecutive failed iterations abort with an
+    is written. MAX_FAILURES consecutive failed iterations abort with an
     OptimizerAbortError that carries that iterate and the partial trace.
 
     Each iterate's ThetaState is built once, by the iteration whose step
@@ -182,7 +186,7 @@ def run_rsvi(model, theta_init, cfg: RunConfig, stream: RandomStream):
         except (DomainError, RuntimeError) as exc:
             failures += 1
             log.warning("numerical failure at iteration %d (%d consecutive): %s", it, failures, exc)
-            if failures >= cfg.max_failures:
+            if failures >= MAX_FAILURES:
                 raise OptimizerAbortError(
                     f"{failures} consecutive numerical failures at iteration {it}: {exc}",
                     softplus(phi),

@@ -546,13 +546,7 @@ def estimate_elbo(
     for bs, bank in zip(state.blocks, state.banks(0)):
         log_z = bank.draw_batch(stream, n_draws).log_z
         lz_all[:, bs.pb.latent_slice] = _block_log_latents(bs.pb, log_z)
-    value = state.entropy
-    batch_fn = getattr(model, "log_joint_batch", None)
-    if batch_fn is not None:
-        fbar = float(np.mean(batch_fn(lz_all)))
-    else:
-        fbar = sum(float(model.log_joint(lz_all[i])) for i in range(n_draws)) / n_draws
-    elbo = fbar + value
+    elbo = float(np.mean(model.log_joint_batch(lz_all))) + state.entropy
     if not math.isfinite(elbo):
         raise DomainError(f"ELBO estimate is non-finite ({elbo!r})")
     return elbo

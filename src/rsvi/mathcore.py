@@ -21,7 +21,6 @@ __all__ = [
     "trigamma",
     "reg_lower_gamma",
     "reg_inc_beta",
-    "std_normal_inv_cdf",
     "kolmogorov_sf",
     "RandomStream",
     "StreamBatch",
@@ -182,7 +181,9 @@ def digamma(x):
 def _trigamma_scalar(x: float) -> float:
     acc = 0.0
     while x < _SHIFT:
-        acc += 1.0 / (x * x)
+        # x*x underflows to 0 below about 1e-154, where 1/x^2 is inf as in _gamma_fns
+        xx = x * x
+        acc += 1.0 / xx if xx else math.inf
         x += 1.0
     inv = 1.0 / x
     inv2 = inv * inv
@@ -399,6 +400,11 @@ def _poly(coefs, r):
 
 
 def _ppnd_array(u: np.ndarray) -> np.ndarray:
+    """Inverse standard-normal CDF (quantile) of an array of u in (0, 1).
+
+    Wichura's AS 241 rational approximations (the PPND16 variant), pure
+    arithmetic apart from sqrt/log, accurate to ~1e-16 relative.
+    """
     q = u - 0.5
     out = np.empty_like(u)
     central = np.abs(q) <= 0.425
@@ -421,20 +427,6 @@ def _ppnd_array(u: np.ndarray) -> np.ndarray:
             x[far] = _poly(_PPND_E, rf) / _poly(_PPND_F, rf)
         out[tail] = np.where(qt < 0.0, -x, x)
     return out
-
-
-def std_normal_inv_cdf(u):
-    """Inverse standard-normal CDF (quantile), u in (0, 1), scalar or array.
-
-    Wichura's AS 241 rational approximations (the PPND16 variant), pure
-    arithmetic apart from sqrt/log, accurate to ~1e-16 relative.
-    """
-    arr = np.asarray(u, dtype=float)
-    if arr.size == 0 or not (np.all(arr > 0.0) and np.all(arr < 1.0)):
-        raise DomainError("std_normal_inv_cdf requires u strictly in (0, 1)")
-    if np.ndim(u) == 0:
-        return float(_ppnd_array(arr.reshape(1))[0])
-    return _ppnd_array(arr)
 
 
 # --- deterministic random streams --------------------------------------------

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import DirichletParams
+from .distributions import DirichletParams, dirichlet_entropy
 from .exceptions import DomainError
 from .mathcore import RandomStream, digamma, finite_diff_grad, log_gamma_fn, trigamma
 from .rejection import make_sampler_bank
@@ -23,14 +23,10 @@ __all__ = [
     "LatentBlock",
     "ModelSpec",
     "ConjugateModel",
-    "conjugate_log_joint",
-    "conjugate_grad",
     "conjugate_exact_elbo_grad",
     "conjugate_elbo_exact",
     "conjugate_model_spec",
     "SparseGammaDEF",
-    "def_log_joint",
-    "def_grad",
     "def_model_spec",
     "make_synthetic_def_data",
 ]
@@ -54,10 +50,12 @@ class ModelSpec:
     Latents are passed in log space. `log_joint` maps the flat vector of
     log latents (blocks concatenated in layout order; Dirichlet blocks hold
     the logs of the simplex coordinates) to log p(x, z), and `grad_latents`
-    returns d log p / d log z of the same shape. Both must accept points
-    slightly off the simplex: finite differences and the normalization
-    chain rule probe there. Log latents keep draws whose value lies below
-    the smallest double (tiny gamma shapes) finite.
+    returns d log p / d log z of the same shape. `log_joint_batch` maps an
+    (n, n_latents) matrix to the n row values; without one it is the row
+    loop over `log_joint`. All three must accept points slightly off the
+    simplex: finite differences and the normalization chain rule probe
+    there. Log latents keep draws whose value lies below the smallest
+    double (tiny gamma shapes) finite.
     """
 
     def __init__(
@@ -81,7 +79,11 @@ class ModelSpec:
         self.latent_layout = layout
         self.log_joint = log_joint
         self.grad_latents = grad_latents
-        # optional row-wise evaluation over an (n, n_latents) matrix
+        if log_joint_batch is None:
+
+            def log_joint_batch(lzmat):
+                return np.array([float(log_joint(lz)) for lz in lzmat])
+
         self.log_joint_batch = log_joint_batch
 
     @property
@@ -194,34 +196,6 @@ def _conjugate_const(m: ConjugateModel) -> float:
     )
 
 
-def conjugate_log_joint(m: ConjugateModel, z) -> float:
-    """f(z) = sum_k (prior_k + n_k - 1) ln z_k + normalizing constants.
-
-    Defined for any strictly positive z (it extends smoothly off the
-    simplex, which the finite-difference checks rely on).
-    """
-    z = np.asarray(z, dtype=float)
-    if z.shape != (m.dim,):
-        raise DomainError(f"z must have shape ({m.dim},)")
-    if not (np.all(np.isfinite(z)) and np.all(z > 0.0)):
-        raise DomainError("conjugate_log_joint needs strictly positive z")
-    return float(np.dot(_conjugate_coeffs(m), np.log(z))) + _conjugate_const(m)
-
-
-def conjugate_grad(m: ConjugateModel, z_tilde) -> np.ndarray:
-    """Gradient of f(z_tilde / sum z_tilde) with respect to the auxiliary gammas.
-
-    With c_k = prior_k + n_k - 1 this is c_k / z_tilde_k - (sum_j c_j) / S.
-    """
-    zt = np.asarray(z_tilde, dtype=float)
-    if zt.shape != (m.dim,):
-        raise DomainError(f"z_tilde must have shape ({m.dim},)")
-    if not (np.all(np.isfinite(zt)) and np.all(zt > 0.0)):
-        raise DomainError("conjugate_grad needs strictly positive z_tilde")
-    c = _conjugate_coeffs(m)
-    return c / zt - float(c.sum()) / float(zt.sum())
-
-
 def conjugate_exact_elbo_grad(m: ConjugateModel, q: DirichletParams) -> np.ndarray:
     """Analytic gradient of the variational objective at q.
 
@@ -240,8 +214,6 @@ def conjugate_elbo_exact(m: ConjugateModel, q: DirichletParams) -> float:
     """Exact objective value E_q[f] + H[q] via special functions."""
     if q.dim != m.dim:
         raise DomainError("parameter dimension mismatch")
-    from .distributions import dirichlet_entropy
-
     th = q.conc
     elog = digamma(th) - digamma(float(th.sum()))
     return float(np.dot(_conjugate_coeffs(m), elog)) + _conjugate_const(m) + dirichlet_entropy(q)
@@ -253,21 +225,23 @@ def conjugate_model_spec(m: ConjugateModel) -> ModelSpec:
     c = _conjugate_coeffs(m)
     const = _conjugate_const(m)
 
-    def _check(lz):
+    def _check(lz, ndim):
         lz = np.asarray(lz, dtype=float)
+        if lz.ndim != ndim or lz.shape[-1] != m.dim:
+            raise DomainError(f"log latents must have {m.dim} entries per row, got shape {lz.shape}")
         if not np.isfinite(lz).all():
             raise DomainError("log-joint needs finite log latents")
         return lz
 
     def log_joint(lz):
-        return float(np.dot(c, _check(lz))) + const
+        return float(np.dot(c, _check(lz, 1))) + const
 
     def grad_latents(lz):
-        _check(lz)
+        _check(lz, 1)
         return c.copy()
 
     def log_joint_batch(lzmat):
-        return _check(lzmat) @ c + const
+        return _check(lzmat, 2) @ c + const
 
     return ModelSpec(layout, log_joint, grad_latents, log_joint_batch=log_joint_batch)
 
@@ -335,33 +309,12 @@ class SparseGammaDEF:
         return len(self.layer_sizes)
 
     def weight_shapes(self) -> list:
-        shapes = [(self.layer_sizes[0], self.n_dim)]
-        for l in range(self.n_layers - 1):
-            shapes.append((self.layer_sizes[l], self.layer_sizes[l + 1]))
-        return shapes
+        return _weight_shapes(self.layer_sizes, self.n_dim)
 
 
-def _check_def_latents(m: SparseGammaDEF, z_layers, weights):
-    if len(z_layers) != m.n_layers:
-        raise DomainError(f"expected {m.n_layers} latent layers")
-    if len(weights) != m.n_layers:
-        raise DomainError(f"expected {m.n_layers} weight matrices")
-    zs, ws = [], []
-    for l, z in enumerate(z_layers):
-        z = np.asarray(z, dtype=float)
-        if z.shape != (m.n_obs, m.layer_sizes[l]):
-            raise DomainError(f"layer {l + 1} latents must be {(m.n_obs, m.layer_sizes[l])}")
-        if not (np.all(np.isfinite(z)) and np.all(z > 0.0)):
-            raise DomainError(f"layer {l + 1} latents must be strictly positive")
-        zs.append(z)
-    for l, (w, shape) in enumerate(zip(weights, m.weight_shapes())):
-        w = np.asarray(w, dtype=float)
-        if w.shape != shape:
-            raise DomainError(f"weight matrix {l} must have shape {shape}")
-        if not (np.all(np.isfinite(w)) and np.all(w > 0.0)):
-            raise DomainError(f"weight matrix {l} must be strictly positive")
-        ws.append(w)
-    return zs, ws
+def _weight_shapes(layer_sizes, n_dim: int) -> list:
+    """w[0] is (K_1, n_dim); w[l] is (K_l, K_(l+1)) for the layers above."""
+    return [(layer_sizes[0], n_dim)] + list(zip(layer_sizes[:-1], layer_sizes[1:]))
 
 
 def _gamma_logpdf_stack(lz: np.ndarray, shape: float, log_rate, lg_shape: float) -> np.ndarray:
@@ -401,10 +354,13 @@ def _log_matmul(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
 
 
 def _def_log_joint_stack(m: SparseGammaDEF, lzs, lws) -> np.ndarray:
-    """Batched log p(x, z, w) from log latents.
+    """Batched log p(x, z, w) from log latents: Poisson likelihood, layer
+    conditionals and priors.
 
     lzs[l] is (n, n_obs, K_l) and lws[l] is (n, ...): logs of the latents
     and weights. Poisson rates and layer means are formed by log-sum-exp.
+    Rates are floored at POISSON_RATE_FLOOR inside the log; an exactly zero
+    rate against a positive count gives -inf.
     """
     x = m.data.astype(float)
     log_lam = _log_matmul(lzs[0], lws[0])
@@ -461,23 +417,6 @@ def _def_grad_log(m: SparseGammaDEF, lzs, lws):
     return gz, gw
 
 
-def def_log_joint(m: SparseGammaDEF, z_layers, weights) -> float:
-    """log p(x, z, w): Poisson likelihood + layer conditionals + priors.
-
-    Poisson rates are floored at POISSON_RATE_FLOOR inside the log; an
-    exactly zero rate against a positive count returns -inf.
-    """
-    zs, ws = _check_def_latents(m, z_layers, weights)
-    return float(_def_log_joint_stack(m, [np.log(z)[None] for z in zs], [np.log(w)[None] for w in ws])[0])
-
-
-def def_grad(m: SparseGammaDEF, z_layers, weights):
-    """Hand-derived gradients of def_log_joint for every latent and weight."""
-    zs, ws = _check_def_latents(m, z_layers, weights)
-    gz, gw = _def_grad_log(m, [np.log(z) for z in zs], [np.log(w) for w in ws])
-    return [g / z for g, z in zip(gz, zs)], [g / w for g, w in zip(gw, ws)]
-
-
 def def_model_spec(m: SparseGammaDEF) -> ModelSpec:
     """Log-latent adapter; blocks ordered z1..zL then w0..w(L-1)."""
     layout = []
@@ -487,10 +426,13 @@ def def_model_spec(m: SparseGammaDEF) -> ModelSpec:
         layout.append(LatentBlock(f"w{l}", "gamma_mean_shape", shape[0] * shape[1]))
     spec_layout = tuple(layout)
     shapes = [(m.n_obs, k) for k in m.layer_sizes] + m.weight_shapes()
+    n_latents = sum(a * b for a, b in shapes)
 
     def unpack(vmat):
         """Split an (n, n_latents) matrix of log latents into layer stacks."""
         vmat = np.asarray(vmat, dtype=float)
+        if vmat.ndim != 2 or vmat.shape[1] != n_latents:
+            raise DomainError(f"log latents must have {n_latents} entries per row, got shape {vmat.shape}")
         if not np.all(np.isfinite(vmat)):
             raise DomainError("log-joint needs finite log latents")
         parts = []
@@ -547,9 +489,7 @@ def make_synthetic_def_data(
     if not sizes or any(k < 1 for k in sizes) or n_obs < 1 or n_dim < 1:
         raise DomainError("layer sizes, n_obs and n_dim must be positive")
     wa, wb = weight_prior
-    shapes = [(sizes[0], n_dim)]
-    for l in range(len(sizes) - 1):
-        shapes.append((sizes[l], sizes[l + 1]))
+    shapes = _weight_shapes(sizes, n_dim)
     if weights is None:
         ws = []
         for shape in shapes:

@@ -320,7 +320,6 @@ def _rejection_rounds(eff_shapes: np.ndarray, streams: StreamBatch, max_trials: 
     k = eff_shapes.size
     n_streams = streams.size
     shapes = eff_shapes if n_streams == 1 else np.tile(eff_shapes, n_streams)
-    d = shapes - 1.0 / 3.0
     s = np.sqrt(9.0 * shapes - 3.0)
     eps = np.empty(shapes.size)
     trials = np.zeros(shapes.size, dtype=np.int64)
@@ -340,10 +339,8 @@ def _rejection_rounds(eff_shapes: np.ndarray, streams: StreamBatch, max_trials: 
         y = 1.0 + e / s[active]
         ok = y > 0.0
         ysafe = np.where(ok, y, 1.0)
-        v = ysafe * ysafe * ysafe
-        accept = ok & (
-            np.log(u) < 0.5 * e * e + d[active] * (1.0 - v + 3.0 * np.log(ysafe))
-        )
+        # accept with probability exp(log-ratio - log_M)
+        accept = ok & (np.log(u) < _log_ratio(e, ysafe, shapes[active], 0.0))
         trials[active] += 1
         eps[active[accept]] = e[accept]
         active = active[~accept]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import integrate, stats
+from scipy import stats
 
 from rsvi.distributions import (
     DirichletParams,
@@ -12,11 +12,9 @@ from rsvi.distributions import (
     dirichlet_entropy,
     dirichlet_entropy_grad,
     dirichlet_kl,
-    dirichlet_log_pdf,
     gamma_entropy,
     gamma_entropy_grad,
     gamma_entropy_grad_mean_shape,
-    gamma_log_pdf,
 )
 from rsvi.exceptions import DomainError
 from rsvi.mathcore import RandomStream, finite_diff_grad
@@ -38,26 +36,6 @@ class TestParams:
     def test_mean_shape_conversion(self):
         p = GammaMeanShapeParams(2.0, 4.0).as_shape_rate()
         assert p.shape == 2.0 and p.rate == 0.5
-
-
-class TestGammaLogPdf:
-    def test_frozen_values(self):
-        assert gamma_log_pdf(1.0, GammaParams(1.0, 1.0)) == pytest.approx(-1.0, abs=1e-14)
-        assert gamma_log_pdf(2.0, GammaParams(2.0, 1.0)) == pytest.approx(math.log(2.0) - 2.0, abs=1e-13)
-
-    def test_out_of_support_is_neg_inf(self):
-        assert gamma_log_pdf(0.0, GammaParams(2.0, 1.0)) == -math.inf
-        assert gamma_log_pdf(-3.0, GammaParams(2.0, 1.0)) == -math.inf
-        arr = gamma_log_pdf(np.array([-1.0, 1.0]), GammaParams(1.0, 1.0))
-        assert arr[0] == -math.inf and np.isfinite(arr[1])
-
-    @pytest.mark.parametrize("a,b", [(2.0, 1.0), (0.7, 2.5), (10.0, 0.5)])
-    def test_normalization_by_quadrature(self, a, b):
-        hi = stats.gamma.ppf(1.0 - 1e-10, a, scale=1.0 / b)
-        val, _ = integrate.quad(
-            lambda z: math.exp(gamma_log_pdf(z, GammaParams(a, b))), 0.0, hi, limit=300
-        )
-        assert val == pytest.approx(1.0, abs=1e-6)
 
 
 class TestGammaEntropy:
@@ -85,35 +63,6 @@ class TestGammaEntropy:
 
 
 class TestDirichlet:
-    def test_uniform_density_is_log_factorial(self):
-        for k in (2, 3, 5):
-            p = DirichletParams(np.ones(k))
-            z = np.full(k, 1.0 / k)
-            assert dirichlet_log_pdf(z, p) == pytest.approx(math.lgamma(k), abs=1e-12)
-
-    def test_off_simplex_rejected(self):
-        p = DirichletParams(np.array([2.0, 3.0]))
-        with pytest.raises(DomainError):
-            dirichlet_log_pdf(np.array([0.6, 0.6]), p)
-
-    def test_boundary_is_neg_inf(self):
-        p = DirichletParams(np.array([2.0, 3.0]))
-        assert dirichlet_log_pdf(np.array([0.0, 1.0]), p) == -math.inf
-
-    def test_normalization_by_quadrature(self):
-        p = DirichletParams(np.array([2.0, 3.0, 4.0]))
-
-        def density(z1, z2):
-            z3 = 1.0 - z1 - z2
-            if z3 <= 1e-12:
-                return 0.0
-            return math.exp(dirichlet_log_pdf(np.array([z1, z2, z3]), p))
-
-        val, _ = integrate.dblquad(
-            lambda z2, z1: density(z1, z2), 0.0, 1.0, 0.0, lambda z1: 1.0 - z1
-        )
-        assert val == pytest.approx(1.0, abs=1e-6)
-
     def test_entropy_grad_matches_finite_differences(self):
         conc = np.array([2.0, 3.0, 4.0])
         fd = finite_diff_grad(lambda v: dirichlet_entropy(DirichletParams(v)), conc, 1e-6)

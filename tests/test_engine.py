@@ -183,6 +183,16 @@ class TestRunRsvi:
         _, trace = run_rsvi(spec, default_theta_init(spec), cfg, RandomStream(3, 0))
         assert [r.iteration for r in trace] == [1, 3, 4, 5]
 
+    def test_vanishing_concentrations_abort(self, conj5_spec):
+        # trigamma of the summed concentration is inf, so the entropy gradient
+        # is inf - inf: every iteration fails and the run aborts
+        cfg = RunConfig(max_iters=10, elbo_draws=5, stop_tol=None)
+        with np.errstate(all="ignore"), pytest.raises(OptimizerAbortError, match="non-finite gradient") as err:
+            run_rsvi(conj5_spec, np.full(5, 1e-200), cfg, RandomStream(0, 0))
+        assert err.value.trace == []
+        # the initial iterate, through softplus and back
+        assert np.allclose(err.value.theta, 1e-200, rtol=1e-9, atol=0.0)
+
     def test_bad_init_rejected(self, conj5_spec):
         with pytest.raises(DomainError):
             run_rsvi(conj5_spec, np.array([1.0, -1.0, 1.0, 1.0, 1.0]), RunConfig(), RandomStream(0, 0))
@@ -194,7 +204,7 @@ class TestRunRsvi:
             (LatentBlock("z", "gamma_mean_shape", 1),), lambda lz: 0.0, lambda lz: np.zeros(1)
         )
         theta0 = np.array([shape, mean])
-        cfg = RunConfig(max_iters=2, elbo_draws=5, stop_tol=None, max_failures=3)
+        cfg = RunConfig(max_iters=2, elbo_draws=5, stop_tol=None)
         with caplog.at_level(logging.WARNING, logger="rsvi.engine"):
             _, trace = run_rsvi(spec, theta0, cfg, RandomStream(0, 0))
         assert trace == []

@@ -15,9 +15,7 @@ from rsvi.models import (
     _log_matmul,
     conjugate_elbo_exact,
     conjugate_exact_elbo_grad,
-    conjugate_grad,
-    conjugate_log_joint,
-    def_log_joint,
+    conjugate_model_spec,
     def_model_spec,
     make_synthetic_def_data,
 )
@@ -53,6 +51,25 @@ class TestModelSpec:
         assert conj5_spec.self_check(RandomStream(1, 0)) <= 1e-4
         assert def_small_spec.self_check(RandomStream(1, 1)) <= 1e-4
 
+    def test_default_batch_is_the_row_loop(self, def_small_spec):
+        spec = ModelSpec(def_small_spec.latent_layout, def_small_spec.log_joint, def_small_spec.grad_latents)
+        lz = np.array([def_small_spec.random_interior_point(RandomStream(6, i)) for i in range(3)])
+        assert np.array_equal(spec.log_joint_batch(lz), [def_small_spec.log_joint(row) for row in lz])
+
+    @pytest.mark.parametrize("model", ["conj5", "def_small"])
+    @pytest.mark.parametrize("callback", ["log_joint", "grad_latents", "log_joint_batch"])
+    def test_bad_rows_are_a_domain_error(self, request, model, callback):
+        # too long, too short (a layer cut short), a latent with no log, and
+        # a row with an extra axis
+        spec = request.getfixturevalue(f"{model}_spec")
+        lz = spec.random_interior_point(RandomStream(8, 0))
+        fn = getattr(spec, callback)
+        nan_first = np.where(np.arange(lz.size) == 0, np.nan, lz)
+        for bad in (np.append(lz, [0.0, 0.0]), lz[:-1], nan_first, lz[None]):
+            with pytest.raises(DomainError):
+                # the batch callback gets each bad row as a one-row matrix
+                fn(bad[None] if callback == "log_joint_batch" else bad)
+
 
 class TestConjugateModel:
     def test_validation(self):
@@ -65,23 +82,42 @@ class TestConjugateModel:
         with pytest.raises(DomainError):
             ConjugateModel(np.ones(2), np.array([-1, 2]))
 
-    def test_uniform_prior_zero_counts_is_flat(self):
-        m = ConjugateModel(np.ones(3), np.zeros(3, dtype=int))
-        z1 = np.array([0.2, 0.3, 0.5])
-        z2 = np.array([0.6, 0.2, 0.2])
-        assert conjugate_log_joint(m, z1) == pytest.approx(conjugate_log_joint(m, z2), abs=1e-12)
-        assert np.max(np.abs(conjugate_grad(m, np.array([1.0, 2.0, 0.5])))) <= 1e-12
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_uniform_prior_zero_counts_is_flat(self, k):
+        # with no observations the log-joint is the prior's Dirichlet
+        # log-density: ln (K-1)! anywhere on the simplex under a uniform prior
+        spec = conjugate_model_spec(ConjugateModel(np.ones(k), np.zeros(k, dtype=int)))
+        ramp = np.arange(1.0, k + 1)
+        for z in (np.full(k, 1.0 / k), ramp / ramp.sum()):
+            assert spec.log_joint(np.log(z)) == pytest.approx(math.lgamma(k), abs=1e-12)
+        assert np.max(np.abs(spec.grad_latents(np.log(ramp)))) <= 1e-12
+
+    def test_zero_counts_density_integrates_to_one(self):
+        spec = conjugate_model_spec(ConjugateModel(np.array([2.0, 3.0, 4.0]), np.zeros(3, dtype=int)))
+
+        def density(z1, z2):
+            z3 = 1.0 - z1 - z2
+            if z1 <= 0.0 or z2 <= 0.0 or z3 <= 1e-12:
+                return 0.0
+            return math.exp(spec.log_joint(np.log([z1, z2, z3])))
+
+        val, _ = integrate.dblquad(lambda z2, z1: density(z1, z2), 0.0, 1.0, 0.0, lambda z1: 1.0 - z1)
+        assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_two_sided_conjugacy(self):
         m = ConjugateModel(np.array([1.0, 1.0]), np.array([1, 0]))
         assert np.array_equal(m.exact_posterior().conc, np.array([2.0, 1.0]))
 
-    def test_grad_matches_finite_differences(self, conj5):
+    def test_grad_matches_finite_differences(self, conj5_spec):
+        # through the normalization: f(ln zt - ln sum zt) has gradient
+        # c - (sum c) zt / sum zt in the log auxiliary gammas ln zt
         stream = RandomStream(23, 0)
         for _ in range(20):
-            zt = 0.2 + 3.0 * stream.uniforms(5)
-            fd = finite_diff_grad(lambda v: conjugate_log_joint(conj5, v / v.sum()), zt, 1e-6)
-            an = conjugate_grad(conj5, zt)
+            lzt = np.log(0.2 + 3.0 * stream.uniforms(5))
+            fd = finite_diff_grad(lambda v: conj5_spec.log_joint(v - np.logaddexp.reduce(v)), lzt, 1e-6)
+            lz = lzt - np.logaddexp.reduce(lzt)
+            g = conj5_spec.grad_latents(lz)
+            an = g - g.sum() * np.exp(lz)
             assert np.max(np.abs(an - fd) / np.maximum(1.0, np.abs(fd))) <= 1e-5
 
     def test_exact_gradient_zero_at_posterior(self, conj5):
@@ -147,23 +183,15 @@ class TestSparseGammaDEF:
             SparseGammaDEF((2,), np.array([[0.5, 1.0]]))
 
     def test_frozen_one_by_one_value(self):
-        m = SparseGammaDEF((1,), np.array([[0]]))
-        val = def_log_joint(m, [np.array([[1.0]])], [np.array([[1.0]])])
-        assert val == pytest.approx(DEF_1X1_LOG_JOINT, abs=1e-12)
+        spec = def_model_spec(SparseGammaDEF((1,), np.array([[0]])))
+        assert spec.log_joint(np.array([0.0, 0.0])) == pytest.approx(DEF_1X1_LOG_JOINT, abs=1e-12)
 
     def test_zero_rate_positive_count_is_neg_inf(self):
-        m = SparseGammaDEF((1,), np.array([[1]]))
-        # positive but denormal-underflowing latents produce an exactly zero rate
-        val = def_log_joint(m, [np.array([[1e-200]])], [np.array([[1e-200]])])
-        assert val == -math.inf
-
-    def test_latent_domain_errors(self, def_small):
-        zs = [np.ones((4, 3)), np.ones((4, 2))]
-        ws = [np.ones((3, 3)), np.ones((3, 2))]
-        with pytest.raises(DomainError):
-            def_log_joint(def_small, [zs[0] * -1.0, zs[1]], ws)
-        with pytest.raises(DomainError):
-            def_log_joint(def_small, [zs[0][:, :2], zs[1]], ws)
+        spec = def_model_spec(SparseGammaDEF((1,), np.array([[1]])))
+        # latents whose product underflows produce an exactly zero rate
+        lz = np.full(2, math.log(1e-200))
+        assert spec.log_joint(lz) == -math.inf
+        assert spec.log_joint_batch(lz[None])[0] == -math.inf
 
     def test_grad_matches_finite_differences(self, def_small, def_small_spec):
         stream = RandomStream(77, 0)
@@ -224,9 +252,8 @@ class TestSparseGammaDEF:
     def test_log_joint_diverges_at_boundary(self):
         # the sole latent behind a positive count cannot vanish: f -> -inf as
         # z -> 0+ (the count term x ln(wz) beats the prior's ln-z singularity)
-        m = SparseGammaDEF((1,), np.array([[3]]))
-        w = [np.array([[1.0]])]
-        vals = [def_log_joint(m, [np.array([[s]])], w) for s in (1e-2, 1e-5, 1e-8)]
+        spec = def_model_spec(SparseGammaDEF((1,), np.array([[3]])))
+        vals = [spec.log_joint(np.array([math.log(s), 0.0])) for s in (1e-2, 1e-5, 1e-8)]
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < -20.0
 
