@@ -31,6 +31,7 @@ from .distributions import (
 from .engine import RunConfig, run_rsvi, softplus_inv, softplus_jacobian, trace_stability
 from .estimators import (
     EstimatorConfig,
+    ThetaState,
     default_theta_init,
     grad_log_ratio_gamma,
     param_layout,
@@ -40,7 +41,6 @@ from .exceptions import ContractError, DomainError, OptimizerAbortError, Sampler
 from .mathcore import RandomStream, finite_diff_grad, kolmogorov_sf, reg_inc_beta, reg_lower_gamma
 from .models import (
     ConjugateModel,
-    ModelSpec,
     SparseGammaDEF,
     conjugate_elbo_exact,
     conjugate_model_spec,
@@ -59,7 +59,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_SAMPLER_STALL = 3
-EXIT_OPTIMIZER_ABORT = 4
+EXIT_NUMERICAL_FAILURE = 4
 
 SEED_ENV_VAR = "RSVI_SEED"
 
@@ -175,9 +175,6 @@ SCHEMAS = {
     },
 }
 
-_HIDDEN_FLAGS = {"gradcheck": ["inject-gradient-error"]}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="rsvi",
@@ -190,8 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="flat key=value config file (flags win)")
         for key, (_parser, default, help_text) in schema.items():
             p.add_argument(f"--{key}", dest=key.replace("-", "_"), default=None, help=f"{help_text} (default: {default})")
-        for hidden in _HIDDEN_FLAGS.get(name, ()):
-            p.add_argument(f"--{hidden}", dest=hidden.replace("-", "_"), action="store_true", help=argparse.SUPPRESS)
     return top
 
 
@@ -379,7 +374,7 @@ def _spec_for(cfg):
     return model, def_model_spec(model)
 
 
-def cmd_gradcheck(cfg: dict, inject_error: bool = False) -> int:
+def cmd_gradcheck(cfg: dict) -> int:
     """Run every analytic-vs-finite-difference check; nonzero exit on failure."""
     stream = RandomStream(cfg["seed"], 1)
     rng_pts = stream.uniforms(200)
@@ -431,16 +426,7 @@ def cmd_gradcheck(cfg: dict, inject_error: bool = False) -> int:
     an = softplus_jacobian(xs)
     check("softplus_jacobian", float(np.max(np.abs(fd - an))), 1e-8)
 
-    model, spec = _spec_for(cfg)
-    if inject_error:
-        base_grad = spec.grad_latents
-
-        def corrupted(z):
-            g = np.array(base_grad(z))
-            g[0] += 1.0 + abs(g[0])
-            return g
-
-        spec = ModelSpec(spec.latent_layout, spec.log_joint, corrupted)
+    spec = _spec_for(cfg)[1]
     try:
         worst = spec.self_check(stream.child(5), n_points=20, rel_tol=1e-4)
         check("model_grad_self_check", worst, 1e-4)
@@ -464,19 +450,24 @@ def cmd_variance(cfg: dict) -> int:
     for e in estimators:
         if e not in _CHOICES["estimator"]:
             raise ConfigError(f"unknown estimator {e!r}")
-    model, spec = _spec_for(cfg)
+    spec = _spec_for(cfg)[1]
     theta = np.array(cfg["theta"], dtype=float) if cfg["theta"] else default_theta_init(spec)
-    _, n_params = param_layout(spec)
-    if theta.shape != (n_params,):
-        raise ConfigError(f"--theta needs {n_params} values for this model")
+    try:
+        ThetaState(spec, theta)
+    except (ContractError, DomainError) as exc:
+        raise ConfigError(f"bad --theta: {exc}") from exc
     stream = RandomStream(cfg["seed"], 2)
     rows = []
-    for kind in estimators:
-        b_values = [0] if kind == "score_function" else list(cfg["b"])
-        for b in b_values:
-            ecfg = EstimatorConfig(kind=kind, aug_b=int(b), draws=int(cfg["draws"]))
-            prof = variance_profile(spec, theta, ecfg, int(cfg["g"]), stream.child(len(rows)))
-            rows.append((kind, int(b), prof.vmin, prof.vmedian, prof.vmax))
+    try:
+        for kind in estimators:
+            b_values = [0] if kind == "score_function" else list(cfg["b"])
+            for b in b_values:
+                ecfg = EstimatorConfig(kind=kind, aug_b=int(b), draws=int(cfg["draws"]))
+                prof = variance_profile(spec, theta, ecfg, int(cfg["g"]), stream.child(len(rows)))
+                rows.append((kind, int(b), prof.vmin, prof.vmedian, prof.vmax))
+    except DomainError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL_FAILURE
     with open(cfg["out"], "w", newline="", encoding="utf-8") as fh:
         fh.write(_config_line("variance", cfg) + "\n")
         writer = csv.writer(fh)
@@ -599,7 +590,7 @@ def cmd_fit(cfg: dict) -> int:
     print(f"trace: {trace_path}")
     print(f"params: {params_path}")
     if aborted:
-        return EXIT_OPTIMIZER_ABORT
+        return EXIT_NUMERICAL_FAILURE
     return EXIT_OK
 
 
@@ -610,7 +601,7 @@ def main(argv=None) -> int:
         if args.command == "sample":
             return cmd_sample(cfg)
         if args.command == "gradcheck":
-            return cmd_gradcheck(cfg, inject_error=getattr(args, "inject_gradient_error", False))
+            return cmd_gradcheck(cfg)
         if args.command == "variance":
             return cmd_variance(cfg)
         return cmd_fit(cfg)

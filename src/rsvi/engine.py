@@ -161,7 +161,7 @@ def run_rsvi(model, theta_init, cfg: RunConfig, stream: RandomStream):
     reaches it, and serves both that step's ELBO and the next iteration's
     gradient estimate.
     """
-    blocks, n_params = param_layout(model)
+    n_params = param_layout(model)[1]
     theta0 = np.asarray(theta_init, dtype=float)
     if theta0.shape != (n_params,) or not (np.all(np.isfinite(theta0)) and np.all(theta0 > 0.0)):
         raise DomainError(f"theta_init must be positive with shape ({n_params},)")

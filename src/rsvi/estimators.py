@@ -24,7 +24,7 @@ from .distributions import (
 from .exceptions import ContractError, DomainError
 from .mathcore import RandomStream, StreamBatch, _digamma_scalar, _gamma_fns, digamma
 from .models import ModelSpec
-from .rejection import BankDraw, _augment, _build_bank, _cube, _dh_dalpha, _h, _log_ratio, _scalar_or_array
+from .rejection import _augment, _build_bank, _cube, _dh_dalpha, _h, _log_ratio, _scalar_or_array
 
 __all__ = [
     "EstimatorConfig",
@@ -94,7 +94,6 @@ class VarianceProfile:
     vmedian: float
     vmax: float
     label: str
-    sample_count: int
 
 
 @dataclass(frozen=True)
@@ -270,43 +269,16 @@ def _glr_psi(eps, alpha, psi_alpha):
 _CHUNK_DRAWS = 2**13
 
 
-@dataclass
-class _Plan:
-    """What an estimate needs besides its streams: the model, the
-    configuration, the state at theta and one sampler bank per block."""
-
-    model: ModelSpec
-    cfg: EstimatorConfig
-    state: ThetaState
-    banks: list
-
-    @property
-    def n_params(self) -> int:
-        return self.state.n_params
-
-
-def _plan(model, state, cfg) -> _Plan:
-    return _Plan(model, cfg, state, state.banks(cfg.aug_b))
-
-
-def _sample_blocks(plan, rows):
-    """One z per latent and replicate via the rejection banks; returns materials."""
-    return [(bs, bank, bank.draw_streams(rows)) for bs, bank in zip(plan.state.blocks, plan.banks)]
-
-
-def _block_log_latents(pb, log_z):
-    """Log latents of one block: the draws, or their log simplex point."""
-    if pb.family == "gamma_mean_shape":
-        return log_z
-    return log_z - np.logaddexp.reduce(log_z, axis=-1, keepdims=True)
-
-
-def _latents_from_mats(mats, n_latents):
-    """(replicates, n_latents) log latents, blocks in layout order."""
-    lz_full = np.empty((mats[0][2].log_z.shape[0], n_latents))
-    for bs, _bank, bd in mats:
-        lz_full[:, bs.pb.latent_slice] = _block_log_latents(bs.pb, bd.log_z)
-    return lz_full
+def _log_latents(state, log_zs):
+    """(rows, n_latents) log latents from one log-draw array per block, in
+    layout order: a gamma block's draws, or a Dirichlet block's draws
+    normalized onto the log simplex."""
+    lz = np.empty((log_zs[0].shape[0], state.model.n_latents))
+    for bs, log_z in zip(state.blocks, log_zs):
+        if bs.pb.family != "gamma_mean_shape":
+            log_z = log_z - np.logaddexp.reduce(log_z, axis=-1, keepdims=True)
+        lz[:, bs.pb.latent_slice] = log_z
+    return lz
 
 
 def _eval_model(model, lz_full, with_grad=True):
@@ -327,51 +299,54 @@ def _eval_model(model, lz_full, with_grad=True):
     return f, gf
 
 
-def _pathwise_terms(bs, bank, bd, g_block, lz_block, weight=None):
-    """g_rep contributions for one block: df/dlog z dot d log z / d theta.
+def _reparam_terms(state, banks, draws, lz, f, gf, weight=None):
+    """g_rep and g_cor, one row per replicate, from each block's draws.
 
-    One row per replicate. The shape path runs through the transform
-    (d ln h/dalpha), the augmentation uniforms' exponents (aug_dsum), and
-    -- for mean-shape blocks -- the rate shape/mean, which contributes
-    -1/shape; the mean path is d ln z/d mean = 1/mean. Dirichlet blocks
-    route through the simplex normalization, d ln z_k/d ln z1_j =
-    delta_kj - z_j. `weight` holds one importance weight per row.
+    `draws` holds (eps, h, aug_dsum) per block, `lz` the log latents, `f`
+    the log-joint and `gf` its gradient in the log latents at each row;
+    `weight`, when given, holds one importance weight per row.
+
+    g_rep is df/dlog z dot d log z / d theta. The shape path runs through
+    the transform (d ln h/dalpha), the augmentation uniforms' exponents
+    (aug_dsum), and -- for mean-shape blocks -- the rate shape/mean, which
+    contributes -1/shape; the mean path is d ln z/d mean = 1/mean.
+    Dirichlet blocks route through the simplex normalization,
+    d ln z_k/d ln z1_j = delta_kj - z_j. g_cor is f times the shape
+    derivative of the log-ratio at the accepted eps.
     """
-    s = np.sqrt(9.0 * bank.eff_shapes[None] - 3.0)
-    dlogz1_da = _dh_dalpha(bd.eps, s, 1.0 + bd.eps / s) / bd.h + bd.aug_dsum
-    if bs.pb.family == "gamma_mean_shape":
-        rep = np.concatenate([g_block * (dlogz1_da - 1.0 / bs.shapes), g_block / bs.means], axis=-1)
-    else:
-        rep = (g_block - np.exp(lz_block) * g_block.sum(axis=-1, keepdims=True)) * dlogz1_da
-    return rep if weight is None else rep * weight[:, None]
-
-
-def _draw_rsvi(plan, rows):
-    mats = _sample_blocks(plan, rows)
-    lz_full = _latents_from_mats(mats, plan.model.n_latents)
-    f, gf = _eval_model(plan.model, lz_full)
-    g_rep = np.zeros((rows.size, plan.n_params))
-    g_cor = np.zeros((rows.size, plan.n_params))
-    trials = np.zeros(rows.size, dtype=np.int64)
-    for bs, bank, bd in mats:
+    g_rep = np.zeros((lz.shape[0], state.n_params))
+    g_cor = np.zeros((lz.shape[0], state.n_params))
+    wf = f[:, None] if weight is None else (weight * f)[:, None]
+    for bs, bank, (eps, h, aug_dsum) in zip(state.blocks, banks, draws):
         pb = bs.pb
-        trials += bd.trials.sum(axis=1)
-        sl = pb.latent_slice
-        g_rep[:, pb.theta_slice] = _pathwise_terms(bs, bank, bd, gf[:, sl], lz_full[:, sl])
-        glr = _glr_psi(bd.eps, bank.eff_shapes[None], bank.psi_eff[None])
-        g_cor[:, pb.theta_slice.start : pb.theta_slice.start + pb.dim] = f[:, None] * glr
-    return g_rep, g_cor, trials
+        g_block, lz_block = gf[:, pb.latent_slice], lz[:, pb.latent_slice]
+        s = np.sqrt(9.0 * bank.eff_shapes[None] - 3.0)
+        dlogz1_da = _dh_dalpha(eps, s, 1.0 + eps / s) / h + aug_dsum
+        if pb.family == "gamma_mean_shape":
+            rep = np.concatenate([g_block * (dlogz1_da - 1.0 / bs.shapes), g_block / bs.means], axis=-1)
+        else:
+            rep = (g_block - np.exp(lz_block) * g_block.sum(axis=-1, keepdims=True)) * dlogz1_da
+        g_rep[:, pb.theta_slice] = rep if weight is None else rep * weight[:, None]
+        glr = _glr_psi(eps, bank.eff_shapes[None], bank.psi_eff[None])
+        g_cor[:, pb.theta_slice.start : pb.theta_slice.start + pb.dim] = wf * glr
+    return g_rep, g_cor
 
 
-def _draw_score(plan, rows):
-    mats = _sample_blocks(plan, rows)
-    lz_full = _latents_from_mats(mats, plan.model.n_latents)
-    f = _eval_model(plan.model, lz_full, with_grad=False)[0][:, None]
-    g_cor = np.zeros((rows.size, plan.n_params))
-    trials = np.zeros(rows.size, dtype=np.int64)
-    for (bs, _bank, bd), const in zip(mats, plan.state.score_consts):
+def _draw_rsvi(state, banks, rows):
+    bds = [bank.draw_streams(rows) for bank in banks]
+    lz = _log_latents(state, [bd.log_z for bd in bds])
+    f, gf = _eval_model(state.model, lz)
+    g_rep, g_cor = _reparam_terms(state, banks, [(bd.eps, bd.h, bd.aug_dsum) for bd in bds], lz, f, gf)
+    return g_rep, g_cor, sum(bd.trials.sum(axis=1) for bd in bds)
+
+
+def _draw_score(state, banks, rows):
+    bds = [bank.draw_streams(rows) for bank in banks]
+    lz_full = _log_latents(state, [bd.log_z for bd in bds])
+    f = _eval_model(state.model, lz_full, with_grad=False)[0][:, None]
+    g_cor = np.zeros((rows.size, state.n_params))
+    for bs, const in zip(state.blocks, state.score_consts):
         pb = bs.pb
-        trials += bd.trials.sum(axis=1)
         lz = lz_full[:, pb.latent_slice]
         if pb.family == "gamma_mean_shape":
             shapes, means = bs.shapes, bs.means
@@ -381,10 +356,10 @@ def _draw_score(plan, rows):
             g_cor[:, pb.theta_slice] = f * np.concatenate([d_a, d_mu], axis=1)
         else:
             g_cor[:, pb.theta_slice] = f * (lz + const)
-    return np.zeros((rows.size, plan.n_params)), g_cor, trials
+    return np.zeros((rows.size, state.n_params)), g_cor, sum(bd.trials.sum(axis=1) for bd in bds)
 
 
-def _draw_importance(plan, rows):
+def _draw_importance(state, banks, rows):
     """Propose eps ~ s directly and weight both terms by prod q/r.
 
     Proposals past the transform boundary carry weight zero (the target
@@ -392,12 +367,11 @@ def _draw_importance(plan, rows):
     replicate's terms are zero and its model is not evaluated.
     """
     n_rows = rows.size
-    drawn = []
+    draws, log_zs = [], []
     log_w = np.zeros(n_rows)
     valid = np.ones(n_rows, dtype=bool)
-    for bs, bank in zip(plan.state.blocks, plan.banks):
-        pb = bs.pb
-        eps = rows.std_normals(pb.dim)
+    for bank in banks:
+        eps = rows.std_normals(bank.size)
         eff = bank.eff_shapes
         y = 1.0 + eps / np.sqrt(9.0 * eff - 3.0)
         inside = y > 0.0
@@ -406,30 +380,22 @@ def _draw_importance(plan, rows):
         # y**3 rounds differently from the y*y*y of rejection._h, and the
         # pinned importance estimates depend on it
         h = (eff - 1.0 / 3.0) * y**3
-        aug_u = rows.uniforms_open(bank.max_b * pb.dim).reshape(n_rows, bank.max_b, pb.dim)
+        aug_u = rows.uniforms_open(bank.max_b * bank.size).reshape(n_rows, bank.max_b, bank.size)
         log_prod_u, aug_dsum = _augment(bank.shapes, bank.b_steps, aug_u)
         # rows past the boundary accumulate a finite value that is never used
         log_w += _log_ratio(eps, y, eff, bank.log_M).sum(axis=1)
-        log_z = np.log(h) + log_prod_u - np.log(bank.rates)
-        drawn.append((bs, bank, (eps, h, aug_dsum, log_z, np.ones(eps.shape, dtype=np.int64), aug_u)))
-    g_rep = np.zeros((n_rows, plan.n_params))
-    g_cor = np.zeros((n_rows, plan.n_params))
-    n_proposals = np.full(n_rows, plan.model.n_latents, dtype=np.int64)
+        draws.append((eps, h, aug_dsum))
+        log_zs.append(np.log(h) + log_prod_u - np.log(bank.rates))
+    g_rep = np.zeros((n_rows, state.n_params))
+    g_cor = np.zeros((n_rows, state.n_params))
     keep = np.flatnonzero(valid)
-    if not keep.size:
-        return g_rep, g_cor, n_proposals
-    mats = [(bs, bank, BankDraw(*(a[keep] for a in fields))) for bs, bank, fields in drawn]
-    weight = np.array([math.exp(w) for w in log_w[keep]])
-    lz_full = _latents_from_mats(mats, plan.model.n_latents)
-    f, gf = _eval_model(plan.model, lz_full)
-    wf = (weight * f)[:, None]
-    for bs, bank, bd in mats:
-        pb = bs.pb
-        sl = pb.latent_slice
-        g_rep[keep, pb.theta_slice] = _pathwise_terms(bs, bank, bd, gf[:, sl], lz_full[:, sl], weight=weight)
-        glr = _glr_psi(bd.eps, bank.eff_shapes[None], bank.psi_eff[None])
-        g_cor[keep, pb.theta_slice.start : pb.theta_slice.start + pb.dim] = wf * glr
-    return g_rep, g_cor, n_proposals
+    if keep.size:
+        weight = np.array([math.exp(w) for w in log_w[keep]])
+        lz = _log_latents(state, [log_z[keep] for log_z in log_zs])
+        f, gf = _eval_model(state.model, lz)
+        kept = [tuple(a[keep] for a in draw) for draw in draws]
+        g_rep[keep], g_cor[keep] = _reparam_terms(state, banks, kept, lz, f, gf, weight=weight)
+    return g_rep, g_cor, np.full(n_rows, state.model.n_latents, dtype=np.int64)
 
 
 _DRAW_FNS = {
@@ -439,27 +405,28 @@ _DRAW_FNS = {
 }
 
 
-def _estimate_rows(plan, rows):
+def _estimate_rows(cfg, state, banks, rows):
     """One estimate per stream of `rows`: (g_rep, g_cor, total, trials) by row.
 
-    Row g is the estimate `estimate` makes from stream g alone: every
-    operation here acts row by row, the model runs once per row, and the
-    draws of a replicate come one after another from its stream.
+    `banks` are state.banks(cfg.aug_b). Row g is the estimate `estimate`
+    makes from stream g alone: every operation here acts row by row, the
+    model runs once per row, and the draws of a replicate come one after
+    another from its stream.
     """
-    g_rep = np.zeros((rows.size, plan.n_params))
-    g_cor = np.zeros((rows.size, plan.n_params))
+    g_rep = np.zeros((rows.size, state.n_params))
+    g_cor = np.zeros((rows.size, state.n_params))
     trials = np.zeros(rows.size, dtype=np.int64)
-    draw_fn = _DRAW_FNS[plan.cfg.kind]
+    draw_fn = _DRAW_FNS[cfg.kind]
     # a draw starts where the previous one's rejection rounds left each
     # stream, so the draws run in turn rather than side by side
-    for _ in range(plan.cfg.draws):
-        rep, cor, t = draw_fn(plan, rows)
+    for _ in range(cfg.draws):
+        rep, cor, t = draw_fn(state, banks, rows)
         g_rep += rep
         g_cor += cor
         trials += t
-    g_rep /= plan.cfg.draws
-    g_cor /= plan.cfg.draws
-    total = g_rep + g_cor + plan.state.g_entropy[None]
+    g_rep /= cfg.draws
+    g_cor /= cfg.draws
+    total = g_rep + g_cor + state.g_entropy[None]
     if not np.isfinite(total).all():
         raise DomainError("estimate rejected: non-finite gradient component")
     return g_rep, g_cor, total, trials
@@ -482,16 +449,16 @@ def estimate(
     special functions and entropy gradient instead of building them, with
     the same result.
     """
-    plan = _plan(model, _state_for(model, theta, state), cfg)
+    state = _state_for(model, theta, state)
     rows = StreamBatch.of((stream,))
     try:
-        g_rep, g_cor, total, trials = _estimate_rows(plan, rows)
+        g_rep, g_cor, total, trials = _estimate_rows(cfg, state, state.banks(cfg.aug_b), rows)
     finally:
         rows.sync()
     return GradientEstimate(
         g_rep=g_rep[0],
         g_cor=g_cor[0],
-        g_entropy=plan.state.g_entropy,
+        g_entropy=state.g_entropy,
         total=total[0],
         draws=cfg.draws,
         trials=int(trials[0]),
@@ -510,12 +477,13 @@ def variance_profile(model, theta, cfg, G: int, stream: RandomStream) -> Varianc
     G = int(G)
     if G < 2:
         raise ContractError("variance_profile needs G >= 2 replicates")
-    plan = _plan(model, ThetaState(model, theta), cfg)
+    state = ThetaState(model, theta)
+    banks = state.banks(cfg.aug_b)
     per_chunk = max(1, _CHUNK_DRAWS // model.n_latents)
-    totals = np.empty((G, plan.n_params))
+    totals = np.empty((G, state.n_params))
     for lo in range(0, G, per_chunk):
         hi = min(G, lo + per_chunk)
-        totals[lo:hi] = _estimate_rows(plan, StreamBatch.children(stream, lo, hi))[2]
+        totals[lo:hi] = _estimate_rows(cfg, state, banks, StreamBatch.children(stream, lo, hi))[2]
     variances = totals.var(axis=0, ddof=1)
     # identical replicates have zero variance by definition, not roundoff dust
     variances[np.ptp(totals, axis=0) == 0.0] = 0.0
@@ -526,7 +494,6 @@ def variance_profile(model, theta, cfg, G: int, stream: RandomStream) -> Varianc
         vmedian=float(np.median(variances)),
         vmax=float(variances.max()),
         label=cfg.label,
-        sample_count=G,
     )
 
 
@@ -542,11 +509,8 @@ def estimate_elbo(
     if n_draws < 1:
         raise ContractError("estimate_elbo needs n_draws >= 1")
     state = _state_for(model, theta, state)
-    lz_all = np.empty((n_draws, model.n_latents))
-    for bs, bank in zip(state.blocks, state.banks(0)):
-        log_z = bank.draw_batch(stream, n_draws).log_z
-        lz_all[:, bs.pb.latent_slice] = _block_log_latents(bs.pb, log_z)
-    elbo = float(np.mean(model.log_joint_batch(lz_all))) + state.entropy
+    log_zs = [bank.draw_batch(stream, n_draws).log_z for bank in state.banks(0)]
+    elbo = float(np.mean(model.log_joint_batch(_log_latents(state, log_zs)))) + state.entropy
     if not math.isfinite(elbo):
         raise DomainError(f"ELBO estimate is non-finite ({elbo!r})")
     return elbo

@@ -24,6 +24,7 @@ import numpy as np
 
 from .exceptions import DomainError, SamplerStallError
 from .mathcore import (
+    _LN_SQRT_2PI,
     RandomStream,
     StreamBatch,
     _gamma_fns,
@@ -37,7 +38,6 @@ __all__ = [
     "DEFAULT_TRIAL_BUDGET",
     "SamplerBank",
     "BankDraw",
-    "BatchDraw",
     "h_gam",
     "dh_deps",
     "dh_dalpha",
@@ -46,8 +46,6 @@ __all__ = [
 ]
 
 DEFAULT_TRIAL_BUDGET = 10**6
-
-_LN_SQRT_2PI = 0.9189385332046727
 
 
 def _cube(name, eps, alpha):
@@ -192,56 +190,44 @@ class SamplerBank:
     def max_b(self) -> int:
         return int(self.b_steps.max()) if self.size else 0
 
-    def draw(self, stream: RandomStream, max_trials: int = DEFAULT_TRIAL_BUDGET) -> "BankDraw":
+    def draw(self, stream: RandomStream) -> "BankDraw":
         rows = StreamBatch.of((stream,))
         try:
-            eps, h, aug_dsum, log_z, trials, aug_u = _draw_rows(
-                self.eff_shapes, self.shapes, self.b_steps, self.rates, rows, max_trials
-            )
+            fields = _draw_rows(self.eff_shapes, self.shapes, self.b_steps, self.rates, rows)
         finally:
             rows.sync()
-        return BankDraw(
-            eps=eps[0], h=h[0], aug_dsum=aug_dsum[0], log_z=log_z[0], trials=trials[0], aug_u=aug_u[0]
-        )
+        return BankDraw(*(a[0] for a in fields))
 
-    def draw_streams(self, streams: StreamBatch, max_trials: int = DEFAULT_TRIAL_BUDGET) -> "BankDraw":
+    def draw_streams(self, streams: StreamBatch) -> "BankDraw":
         """One draw per element from each stream; every field gets a leading
         stream axis, and row s equals `draw` on stream s alone."""
-        fields = _draw_rows(self.eff_shapes, self.shapes, self.b_steps, self.rates, streams, max_trials)
-        return BankDraw(*fields)
+        return BankDraw(*_draw_rows(self.eff_shapes, self.shapes, self.b_steps, self.rates, streams))
 
-    def draw_batch(
-        self, stream: RandomStream, n: int, max_trials: int = DEFAULT_TRIAL_BUDGET
-    ) -> "BatchDraw":
-        """n independent draws per element, flattened into (n, size) arrays."""
+    def draw_batch(self, stream: RandomStream, n: int) -> "BankDraw":
+        """n independent draws per element from one stream; every field is (n, size)."""
         n = int(n)
         if n < 0:
             raise DomainError("draw_batch needs n >= 0")
         if n == 0:
             empty = np.empty((0, self.size))
-            return BatchDraw(eps=empty, log_z=empty, trials=np.empty((0, self.size), dtype=np.int64))
+            return BankDraw(empty, empty, empty, empty, np.empty((0, self.size), dtype=np.int64))
         tiled = (np.tile(a, n) for a in (self.eff_shapes, self.shapes, self.b_steps, self.rates))
         rows = StreamBatch.of((stream,))
         try:
-            eps, _h, _aug_dsum, log_z, trials, _aug_u = _draw_rows(*tiled, rows, max_trials)
+            fields = _draw_rows(*tiled, rows)
         finally:
             rows.sync()
-        return BatchDraw(
-            eps=eps.reshape(n, self.size),
-            log_z=log_z.reshape(n, self.size),
-            trials=trials.reshape(n, self.size),
-        )
+        return BankDraw(*(a.reshape(n, self.size) for a in fields))
 
 
-def _draw_rows(eff_shapes, shapes, b_steps, rates, streams: StreamBatch, max_trials: int):
+def _draw_rows(eff_shapes, shapes, b_steps, rates, streams: StreamBatch):
     """One log-space draw per element of flat parameter arrays, from each stream.
 
     Each stream is consumed as its rejection rounds, then max(b_steps) rows
-    of augmentation uniforms. Returns (eps, h, aug_dsum, log_z, trials,
-    aug_u), each with one leading row per stream; aug_u is
-    (streams, max_b, elements).
+    of augmentation uniforms. Returns (eps, h, aug_dsum, log_z, trials),
+    each with one leading row per stream.
     """
-    eps, trials = _rejection_rounds(eff_shapes, streams, max_trials)
+    eps, trials = _rejection_rounds(eff_shapes, streams)
     max_b = int(b_steps.max()) if b_steps.size else 0
     aug_u = streams.uniforms_open(max_b * shapes.size).reshape(streams.size, max_b, shapes.size)
     # parameters as (1, elements) rows: with one stream every operation
@@ -250,14 +236,17 @@ def _draw_rows(eff_shapes, shapes, b_steps, rates, streams: StreamBatch, max_tri
     h = _h(eff_shapes, 1.0 + eps / np.sqrt(9.0 * eff_shapes - 3.0))
     log_prod_u, aug_dsum = _augment(shapes, b_steps, aug_u)
     log_z = np.log(h) + log_prod_u - np.log(rates)
-    return eps, h, aug_dsum, log_z, trials, aug_u
+    return eps, h, aug_dsum, log_z, trials
 
 
 @dataclass(frozen=True)
 class BankDraw:
-    """One draw per bank element plus the pieces the chain rule needs.
+    """Bank draws plus the pieces the chain rule needs: one per element
+    (`draw`), per stream and element (`draw_streams`) or per draw and
+    element (`draw_batch`).
 
-    `h` is the raw cube-transform value at the effective shape, `aug_dsum`
+    `eps` is the accepted proposal and `trials` the rounds it took. `h` is
+    the raw cube-transform value at the effective shape, `aug_dsum`
     = sum_j (-ln u_j)/(shape + j)^2 (the shape derivative of the log
     augmentation product), and `log_z` = ln h + sum_j ln(u_j)/(shape + j)
     - ln rate is the log of the Gam(shape, rate) draw. The draw is carried
@@ -268,20 +257,6 @@ class BankDraw:
     eps: np.ndarray
     h: np.ndarray
     aug_dsum: np.ndarray
-    log_z: np.ndarray
-    trials: np.ndarray
-    aug_u: np.ndarray
-
-    @property
-    def z(self) -> np.ndarray:
-        return np.exp(self.log_z)
-
-
-@dataclass(frozen=True)
-class BatchDraw:
-    """(n, size) arrays of accepted eps, log draws and trial counts."""
-
-    eps: np.ndarray
     log_z: np.ndarray
     trials: np.ndarray
 
@@ -308,14 +283,15 @@ def _augment(shapes: np.ndarray, b_steps: np.ndarray, aug_u: np.ndarray):
     return log_prod_u, aug_dsum
 
 
-def _rejection_rounds(eff_shapes: np.ndarray, streams: StreamBatch, max_trials: int):
+def _rejection_rounds(eff_shapes: np.ndarray, streams: StreamBatch):
     """Vectorized propose/accept rounds; one accepted eps per element and stream.
 
     Every stream owns one row of eff_shapes.size elements. A round takes
     one block of 2m words from each stream with m active elements: the
     first m give the proposals' normals and the last m the accept
     uniforms, both in element order. A stream's words therefore do not
-    depend on the other streams. Returns (eps, trials), (streams, elements).
+    depend on the other streams. More than DEFAULT_TRIAL_BUDGET rounds
+    raise SamplerStallError. Returns (eps, trials), (streams, elements).
     """
     k = eff_shapes.size
     n_streams = streams.size
@@ -326,7 +302,7 @@ def _rejection_rounds(eff_shapes: np.ndarray, streams: StreamBatch, max_trials: 
     active = np.arange(shapes.size)
     rounds = 0
     while active.size:
-        if rounds >= max_trials:
+        if rounds >= DEFAULT_TRIAL_BUDGET:
             shape = float(shapes[active[0]])
             raise SamplerStallError(shape, float(_log_m_at_mode(shape)), rounds)
         rounds += 1

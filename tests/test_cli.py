@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from rsvi import cli
 from rsvi.exceptions import DomainError, OptimizerAbortError, SamplerStallError
@@ -143,8 +144,21 @@ class TestGradcheck:
         run_cli("gradcheck", "--seed", "5")
         assert capsys.readouterr().out == first
 
-    def test_negative_control(self, capsys):
-        assert run_cli("gradcheck", "--seed", "3", "--inject-gradient-error") == 1
+    def test_negative_control(self, capsys, monkeypatch):
+        spec_for = cli._spec_for
+
+        def wrong_gradient(cfg):
+            model, spec = spec_for(cfg)
+
+            def corrupted(lz):
+                g = np.array(spec.grad_latents(lz))
+                g[0] += 1.0 + abs(g[0])
+                return g
+
+            return model, ModelSpec(spec.latent_layout, spec.log_joint, corrupted)
+
+        monkeypatch.setattr(cli, "_spec_for", wrong_gradient)
+        assert run_cli("gradcheck", "--seed", "3") == 1
         out = capsys.readouterr().out
         assert "FAIL model_grad_self_check" in out
 
@@ -178,6 +192,30 @@ class TestVariance:
 
     def test_theta_length_check(self, tmp_path):
         assert run_cli("variance", "--theta", "1,2", "--out", str(tmp_path / "v.csv")) == 2
+
+    @pytest.mark.parametrize(
+        "model_args, theta",
+        [
+            ((), "0,1,1,1,1"),
+            ((), "-1,1,1,1,1"),
+            ((), "nan,1,1,1,1"),
+            ((), "1,inf,1,1,1"),
+            # shape/mean underflows to a zero rate
+            (("--model", "def", "--layers", "1", "--n-obs", "1", "--n-dim", "1"), "1e-300,1e300,1,1"),
+        ],
+    )
+    def test_bad_theta_is_a_config_error(self, tmp_path, capsys, model_args, theta):
+        out = tmp_path / "v.csv"
+        assert run_cli("variance", *model_args, f"--theta={theta}", "--g", "20", "--out", str(out)) == 2
+        assert "config error" in capsys.readouterr().err and not out.exists()
+
+    def test_numerical_failure_is_not_a_config_error(self, tmp_path, capsys):
+        # a valid theta whose tiny shape gives a non-finite gradient estimate
+        out = tmp_path / "v.csv"
+        code = run_cli("variance", "--theta", "1e-200,1,1,1,1", "--g", "20", "--b", "0,1", "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 4 and not out.exists()
+        assert "numerical failure: estimate rejected" in err and "config error" not in err
 
 
 class TestFit:

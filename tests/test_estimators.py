@@ -244,8 +244,8 @@ class TestReplicateBatch:
         chunks = []
         batch_rows = estimators._estimate_rows
 
-        def recording(plan, rows):
-            out = batch_rows(plan, rows)
+        def recording(cfg, state, banks, rows):
+            out = batch_rows(cfg, state, banks, rows)
             chunks.append(out[2])
             return out
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate, special, stats
 
+from rsvi import rejection
 from rsvi.distributions import DirichletParams
 from rsvi.estimators import EstimatorConfig, estimate
 from rsvi.exceptions import DomainError, SamplerStallError
@@ -168,38 +169,58 @@ class TestBankSampler:
 
     def test_draw_consistent_with_fields(self):
         bank = make_sampler_bank(np.array([0.7, 3.0]), np.array([2.0, 1.0]), 2)
-        bd = bank.draw(RandomStream(9, 0))
+        stream = RandomStream(9, 0)
+        bd = bank.draw(stream)
+        # the rejection rounds take two words per trial, then augmentation
+        # takes its max_b x size uniforms: the last words the draw took
+        assert bank.max_b == 2 and stream.counter == 2 * int(bd.trials.sum()) + 2 * 2
+        copy = RandomStream(9, 0)
+        copy.uniforms_open(stream.counter - 2 * 2)
+        aug_u = copy.uniforms_open(2 * 2).reshape(2, 2)
         # log z = ln h + sum_j ln(u_j) / (shape + j) - ln rate, with the
         # augmentation uniforms honoring the per-element step counts
         log_prod_u = sum(
-            np.where(j < bank.b_steps, np.log(bd.aug_u[j]) / (bank.shapes + j), 0.0) for j in range(2)
+            np.where(j < bank.b_steps, np.log(aug_u[j]) / (bank.shapes + j), 0.0) for j in range(2)
         )
         assert np.allclose(bd.log_z, np.log(bd.h) + log_prod_u - np.log(bank.rates))
         assert np.allclose(bd.z, bd.h * np.exp(log_prod_u) / bank.rates)
         assert np.all(bd.trials >= 1)
-        assert bd.aug_u.shape == (2, 2)
-        assert np.all((bd.aug_u > 0.0) & (bd.aug_u < 1.0))
+        assert np.all((aug_u > 0.0) & (aug_u < 1.0))
+
+    def test_batch_of_one_is_a_draw(self):
+        bank = make_sampler_bank(np.array([0.3, 1.0, 2.5]), np.array([1.0, 2.0, 0.5]), 1)
+        one, batch = RandomStream(14, 1), RandomStream(14, 1)
+        bd, bb = bank.draw(one), bank.draw_batch(batch, 1)
+        for field in ("eps", "h", "aug_dsum", "log_z", "trials"):
+            assert getattr(bb, field).shape == (1, 3), field
+            assert np.array_equal(getattr(bb, field)[0], getattr(bd, field)), field
+        assert batch.counter == one.counter > 0
 
     def test_empty_batch(self):
         bank = make_sampler_bank(np.array([2.0]), 1.0, 0)
         batch = bank.draw_batch(RandomStream(1, 0), 0)
         assert batch.z.shape == (0, 1)
+        for field in ("eps", "h", "aug_dsum", "log_z", "trials"):
+            assert getattr(batch, field).shape == (0, 1), field
+        assert batch.trials.dtype == np.int64
 
-    def test_stall_reports_rounds_run_and_envelope(self):
+    def test_stall_reports_rounds_run_and_envelope(self, monkeypatch):
         bank = make_sampler_bank(np.array([2.0, 3.0]), 1.0, 0)
         stream = RandomStream(0, 0)
+        monkeypatch.setattr(rejection, "DEFAULT_TRIAL_BUDGET", 0)
         with pytest.raises(SamplerStallError) as info:
-            bank.draw(stream, max_trials=0)
+            bank.draw(stream)
         assert info.value.trials == 0 and stream.counter == 0
         assert info.value.shape == 2.0
         assert info.value.log_m == _log_m_at_mode(2.0)
 
-    def test_stall_after_one_round(self):
+    def test_stall_after_one_round(self, monkeypatch):
         # at shape 1 about 5% of proposals reject, so 500 elements need a second round
         bank = make_sampler_bank(np.array([1.0]), 1.0, 0)
         stream = RandomStream(4, 0)
+        monkeypatch.setattr(rejection, "DEFAULT_TRIAL_BUDGET", 1)
         with pytest.raises(SamplerStallError) as info:
-            bank.draw_batch(stream, 500, max_trials=1)
+            bank.draw_batch(stream, 500)
         assert info.value.trials == 1 and info.value.shape == 1.0
         assert info.value.log_m == _log_m_at_mode(1.0)
         assert stream.counter == 2 * 500  # one round ran: a normal and a uniform each
@@ -215,7 +236,7 @@ class TestBankSampler:
         for g in range(40):
             alone = RandomStream(12, 5).child(g)
             bd = bank.draw(alone)
-            for field in ("eps", "h", "aug_dsum", "log_z", "trials", "aug_u"):
+            for field in ("eps", "h", "aug_dsum", "log_z", "trials"):
                 assert np.array_equal(getattr(together, field)[g], getattr(bd, field)), field
             assert int(rows.counters[g]) == alone.counter
 
@@ -252,9 +273,11 @@ def _simplex(log_z):
 class TestDirichletSampling:
     def test_simplex_and_fields(self):
         bank = make_sampler_bank(np.array([2.0, 3.0, 5.0]), 1.0, 1)
-        bd = bank.draw(RandomStream(11, 0))
+        stream = RandomStream(11, 0)
+        bd = bank.draw(stream)
         assert abs(_simplex(bd.log_z).sum() - 1.0) <= 1e-12
-        assert np.all(bd.trials >= 1) and bd.aug_u.shape == (1, 3)
+        # two words per trial, then one row of three augmentation uniforms
+        assert np.all(bd.trials >= 1) and stream.counter == 2 * int(bd.trials.sum()) + 1 * 3
 
     def test_symmetric_means(self):
         k, n = 4, 30000
