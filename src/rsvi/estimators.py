@@ -281,21 +281,33 @@ def _log_latents(state, log_zs):
     return lz
 
 
-def _eval_model(model, lz_full, with_grad=True):
-    """log p and, if with_grad, d log p / d log z at every row, one
-    callback (pair) per row; the gradient is None without with_grad."""
-    f = np.empty(lz_full.shape[0])
-    gf = np.empty(lz_full.shape) if with_grad else None
-    for g, lz in enumerate(lz_full):
-        fg = float(model.log_joint(lz))
-        if not math.isfinite(fg):
-            raise DomainError(f"estimate rejected: log-joint is non-finite ({fg!r}) at log z = {lz!r}")
-        f[g] = fg
-        if with_grad:
-            gg = np.asarray(model.grad_latents(lz), dtype=float)
-            if gg.shape != lz.shape or not np.isfinite(gg).all():
-                raise DomainError("estimate rejected: latent gradient is non-finite or mis-shaped")
-            gf[g] = gg
+def _eval_model(model, lz, with_grad=True):
+    """log p and, if with_grad, d log p / d log z at every row of `lz`: one
+    batch callback (pair) for the whole matrix; the gradient is None
+    without with_grad.
+
+    A bad row raises DomainError as a row-by-row evaluation would: the
+    first row whose log-joint or gradient is bad, its log-joint first.
+    """
+    n = lz.shape[0]
+    f = np.asarray(model.log_joint_batch(lz), dtype=float)
+    if f.shape != (n,):
+        raise DomainError(f"estimate rejected: log-joint batch has shape {f.shape}, expected ({n},)")
+    finite = np.isfinite(f)
+    bad_f = n if finite.all() else int(np.argmin(finite))
+    gf = None
+    bad_g = n
+    if with_grad:
+        gf = np.asarray(model.grad_latents_batch(lz), dtype=float)
+        if gf.shape != lz.shape:
+            bad_g = 0
+        else:
+            finite = np.isfinite(gf).all(axis=1)
+            bad_g = n if finite.all() else int(np.argmin(finite))
+    if bad_f < n and bad_f <= bad_g:
+        raise DomainError(f"estimate rejected: log-joint is non-finite ({float(f[bad_f])!r}) at log z = {lz[bad_f]!r}")
+    if bad_g < n:
+        raise DomainError("estimate rejected: latent gradient is non-finite or mis-shaped")
     return f, gf
 
 

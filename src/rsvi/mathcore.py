@@ -120,8 +120,10 @@ def _gamma_fns(x, lgamma=False, psi=False, psi1=False):
     if psi:
         acc_psi = np.subtract.reduce(1.0 / taken, axis=0, initial=0.0, where=below)
     if psi1:
-        # acc - (-t) is acc + t, bit for bit
-        acc_psi1 = np.subtract.reduce(-1.0 / (taken * taken), axis=0, initial=0.0, where=below)
+        # acc - (-t) is acc + t, bit for bit; a step below about 1e-154
+        # squares to 0 and its term is -inf, as in _trigamma_scalar
+        with np.errstate(divide="ignore"):
+            acc_psi1 = np.subtract.reduce(-1.0 / (taken * taken), axis=0, initial=0.0, where=below)
     inv = 1.0 / x
     inv2 = inv * inv
     log_x = np.log(x) if lgamma or psi else None
@@ -393,9 +395,14 @@ _PPND_F = (
 
 
 def _poly(coefs, r):
-    s = 0.0 * r
-    for c in reversed(coefs):
-        s = s * r + c
+    """Horner's rule, in place after its first product. The rule's first
+    step from 0.0, 0.0 * r + c, is just c for the finite r it gets, so the
+    product of the last coefficient with r starts it."""
+    s = r * coefs[-1]
+    s += coefs[-2]
+    for c in reversed(coefs[:-2]):
+        s *= r
+        s += c
     return s
 
 
@@ -406,26 +413,43 @@ def _ppnd_array(u: np.ndarray) -> np.ndarray:
     arithmetic apart from sqrt/log, accurate to ~1e-16 relative.
     """
     q = u - 0.5
-    out = np.empty_like(u)
     central = np.abs(q) <= 0.425
-    if central.any():
-        r = 0.180625 - q[central] * q[central]
-        out[central] = q[central] * _poly(_PPND_A, r) / _poly(_PPND_B, r)
     tail = ~central
-    if tail.any():
-        ut = u[tail]
-        qt = q[tail]
-        r = np.sqrt(-np.log(np.where(qt < 0.0, ut, 1.0 - ut)))
+    qc = q[central]
+    ut = u[tail]
+    qt = q[tail]
+    # every value of q the branches read is gathered, so q takes the result
+    out = q
+    if qc.size:
+        r = qc * qc
+        np.subtract(0.180625, r, out=r)
+        x = _poly(_PPND_A, r)
+        x *= qc
+        x /= _poly(_PPND_B, r)
+        out[central] = x
+    if qt.size:
+        lower = qt < 0.0
+        r = np.where(lower, ut, 1.0 - ut)
+        np.log(r, out=r)
+        np.negative(r, out=r)
+        np.sqrt(r, out=r)
         near = r <= 5.0
         x = np.empty_like(r)
         if near.any():
-            rn = r[near] - 1.6
-            x[near] = _poly(_PPND_C, rn) / _poly(_PPND_D, rn)
+            rn = r[near]
+            rn -= 1.6
+            xn = _poly(_PPND_C, rn)
+            xn /= _poly(_PPND_D, rn)
+            x[near] = xn
         far = ~near
         if far.any():
-            rf = r[far] - 5.0
-            x[far] = _poly(_PPND_E, rf) / _poly(_PPND_F, rf)
-        out[tail] = np.where(qt < 0.0, -x, x)
+            rf = r[far]
+            rf -= 5.0
+            xf = _poly(_PPND_E, rf)
+            xf /= _poly(_PPND_F, rf)
+            x[far] = xf
+        np.negative(x, out=x, where=lower)
+        out[tail] = x
     return out
 
 
@@ -447,12 +471,16 @@ def _mix(x: int) -> int:
 
 def _mix_np(x: np.ndarray) -> np.ndarray:
     # wraps modulo 2**64; numpy does not flag integer overflow on arrays.
-    # In place after the first step, so a large block holds two arrays at once.
-    x = x ^ (x >> np.uint64(30))
+    # Consumes x, a fresh array of the caller's: every step runs in place
+    # with one shift buffer, so a large block holds two arrays at once.
+    shifted = np.right_shift(x, np.uint64(30))
+    x ^= shifted
     x *= np.uint64(_MIX1)
-    x ^= x >> np.uint64(27)
+    np.right_shift(x, np.uint64(27), out=shifted)
+    x ^= shifted
     x *= np.uint64(_MIX2)
-    x ^= x >> np.uint64(31)
+    np.right_shift(x, np.uint64(31), out=shifted)
+    x ^= shifted
     return x
 
 
@@ -462,14 +490,23 @@ def _stream_words(bases, counters, offsets) -> np.ndarray:
     The word kernel of every stream: word i of the stream with key base is
     ``mix(base + i * GOLDEN)``. The three uint64 arguments broadcast
     together, so one call serves one stream (scalar base and counter) or
-    many (one base and counter per stream, gathered per word).
+    many (one base and counter per stream, gathered per word). The words
+    are formed in place in ``counters + offsets``, which must already have
+    the result's shape.
     """
-    return _mix_np(bases + (counters + offsets) * np.uint64(_GOLDEN))
+    words = counters + offsets
+    words *= np.uint64(_GOLDEN)
+    words += bases
+    return _mix_np(words)
 
 
 def _open_unit(words: np.ndarray) -> np.ndarray:
-    """Doubles strictly inside (0, 1) from the top 53 bits of each word."""
-    u = (words >> np.uint64(11)).astype(np.float64)
+    """Doubles strictly inside (0, 1) from the top 53 bits of each word.
+
+    Consumes `words`, a fresh array of the caller's.
+    """
+    words >>= np.uint64(11)
+    u = words.astype(np.float64)
     u += 0.5
     u *= 2.0**-53
     return u

@@ -51,8 +51,12 @@ class ModelSpec:
     log latents (blocks concatenated in layout order; Dirichlet blocks hold
     the logs of the simplex coordinates) to log p(x, z), and `grad_latents`
     returns d log p / d log z of the same shape. `log_joint_batch` maps an
-    (n, n_latents) matrix to the n row values; without one it is the row
-    loop over `log_joint`. All three must accept points slightly off the
+    (n, n_latents) matrix to the n row values and `grad_latents_batch` to
+    the (n, n_latents) row gradients; row i of each must equal the row
+    callback at row i bit for bit, since the estimators evaluate a matrix
+    of replicates at once and each replicate must match its lone estimate.
+    Without them they are the row loops over `log_joint` and
+    `grad_latents`. All four must accept points slightly off the
     simplex: finite differences and the normalization chain rule probe
     there. Log latents keep draws whose value lies below the smallest
     double (tiny gamma shapes) finite.
@@ -64,6 +68,7 @@ class ModelSpec:
         log_joint: Callable[[np.ndarray], float],
         grad_latents: Callable[[np.ndarray], np.ndarray],
         log_joint_batch: Callable[[np.ndarray], np.ndarray] | None = None,
+        grad_latents_batch: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
         layout = tuple(latent_layout)
         if not layout:
@@ -84,7 +89,14 @@ class ModelSpec:
             def log_joint_batch(lzmat):
                 return np.array([float(log_joint(lz)) for lz in lzmat])
 
+        if grad_latents_batch is None:
+
+            def grad_latents_batch(lzmat):
+                rows = [np.asarray(grad_latents(lz), dtype=float) for lz in lzmat]
+                return np.array(rows) if rows else np.empty(np.shape(lzmat))
+
         self.log_joint_batch = log_joint_batch
+        self.grad_latents_batch = grad_latents_batch
 
     @property
     def n_latents(self) -> int:
@@ -220,13 +232,19 @@ def conjugate_elbo_exact(m: ConjugateModel, q: DirichletParams) -> float:
 
 
 def conjugate_model_spec(m: ConjugateModel) -> ModelSpec:
-    """Log-latent adapter: f(log z) = c . log z + const, gradient c."""
+    """Log-latent adapter: f(log z) = c . log z + const, gradient c.
+
+    One kernel serves rows and matrices: np.vecdot of each row with c, on
+    C-contiguous input, so row i of a batch rounds exactly as the lone row
+    does. (lz @ c does not: its rows differ from the lone-row value in the
+    last bits, and so does vecdot over rows with a non-unit stride.)
+    """
     layout = (LatentBlock("z", "dirichlet", m.dim),)
     c = _conjugate_coeffs(m)
     const = _conjugate_const(m)
 
     def _check(lz, ndim):
-        lz = np.asarray(lz, dtype=float)
+        lz = np.ascontiguousarray(lz, dtype=float)
         if lz.ndim != ndim or lz.shape[-1] != m.dim:
             raise DomainError(f"log latents must have {m.dim} entries per row, got shape {lz.shape}")
         if not np.isfinite(lz).all():
@@ -234,16 +252,22 @@ def conjugate_model_spec(m: ConjugateModel) -> ModelSpec:
         return lz
 
     def log_joint(lz):
-        return float(np.dot(c, _check(lz, 1))) + const
+        return float(np.vecdot(_check(lz, 1), c)) + const
 
     def grad_latents(lz):
         _check(lz, 1)
         return c.copy()
 
     def log_joint_batch(lzmat):
-        return _check(lzmat, 2) @ c + const
+        return np.vecdot(_check(lzmat, 2), c) + const
 
-    return ModelSpec(layout, log_joint, grad_latents, log_joint_batch=log_joint_batch)
+    def grad_latents_batch(lzmat):
+        # a read-only view: every row is c
+        return np.broadcast_to(c, _check(lzmat, 2).shape)
+
+    return ModelSpec(
+        layout, log_joint, grad_latents, log_joint_batch=log_joint_batch, grad_latents_batch=grad_latents_batch
+    )
 
 
 # --- sparse gamma deep exponential family ---------------------------------------

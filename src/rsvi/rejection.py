@@ -75,8 +75,14 @@ def _scalar_or_array(scalar, out):
 
 
 def _h(alpha, y):
-    """The cube transform (alpha - 1/3) y^3, y = 1 + eps/sqrt(9 alpha - 3)."""
-    return (alpha - 1.0 / 3.0) * (y * y * y)
+    """The cube transform (alpha - 1/3) y^3, y = 1 + eps/sqrt(9 alpha - 3).
+
+    y has the full shape, so the cube takes the product in place.
+    """
+    v = y * y
+    v *= y
+    v *= alpha - 1.0 / 3.0
+    return v
 
 
 def _dh_dalpha(eps, s, y):
@@ -95,8 +101,14 @@ def _log_ratio(eps, y, alpha, log_m):
     minus log_M.
     """
     d = alpha - 1.0 / 3.0
-    v = y * y * y
-    return log_m + 0.5 * eps * eps + d * (1.0 - v + 3.0 * np.log(y))
+    # in place on ln y, which has the full shape: (1 - y^3) + 3 ln y, times
+    # d, plus log_M + eps^2/2
+    out = np.log(y)
+    out *= 3.0
+    out += 1.0 - y * y * y
+    out *= d
+    out += log_m + 0.5 * eps * eps
+    return out
 
 
 def h_gam(eps, alpha):
@@ -193,7 +205,7 @@ class SamplerBank:
     def draw(self, stream: RandomStream) -> "BankDraw":
         rows = StreamBatch.of((stream,))
         try:
-            fields = _draw_rows(self.eff_shapes, self.shapes, self.b_steps, self.rates, rows)
+            fields = _draw_rows(self, rows)
         finally:
             rows.sync()
         return BankDraw(*(a[0] for a in fields))
@@ -201,41 +213,44 @@ class SamplerBank:
     def draw_streams(self, streams: StreamBatch) -> "BankDraw":
         """One draw per element from each stream; every field gets a leading
         stream axis, and row s equals `draw` on stream s alone."""
-        return BankDraw(*_draw_rows(self.eff_shapes, self.shapes, self.b_steps, self.rates, streams))
+        return BankDraw(*_draw_rows(self, streams))
 
     def draw_batch(self, stream: RandomStream, n: int) -> "BankDraw":
-        """n independent draws per element from one stream; every field is (n, size)."""
+        """n independent draws per element from one stream; every field is (n, size).
+
+        The stream is laid out as for one bank of n * size elements, the
+        bank's parameters repeated n times.
+        """
         n = int(n)
         if n < 0:
             raise DomainError("draw_batch needs n >= 0")
-        if n == 0:
-            empty = np.empty((0, self.size))
-            return BankDraw(empty, empty, empty, empty, np.empty((0, self.size), dtype=np.int64))
-        tiled = (np.tile(a, n) for a in (self.eff_shapes, self.shapes, self.b_steps, self.rates))
         rows = StreamBatch.of((stream,))
         try:
-            fields = _draw_rows(*tiled, rows)
+            fields = _draw_rows(self, rows, reps=n)
         finally:
             rows.sync()
-        return BankDraw(*(a.reshape(n, self.size) for a in fields))
+        return BankDraw(*fields)
 
 
-def _draw_rows(eff_shapes, shapes, b_steps, rates, streams: StreamBatch):
-    """One log-space draw per element of flat parameter arrays, from each stream.
+def _draw_rows(bank: SamplerBank, streams: StreamBatch, reps: int = 1):
+    """`reps` log-space draws per element of `bank` from each stream.
 
-    Each stream is consumed as its rejection rounds, then max(b_steps) rows
-    of augmentation uniforms. Returns (eps, h, aug_dsum, log_z, trials),
-    each with one leading row per stream.
+    Each stream is consumed as the rejection rounds of reps * bank.size
+    elements (the bank's elements, repeated reps times), then max_b rows of
+    augmentation uniforms, each over those elements. Returns (eps, h,
+    aug_dsum, log_z, trials), each (streams * reps, bank.size): the rows of
+    stream s are s * reps to (s + 1) * reps - 1. The bank's parameters
+    broadcast as (size,) rows against them.
     """
-    eps, trials = _rejection_rounds(eff_shapes, streams)
-    max_b = int(b_steps.max()) if b_steps.size else 0
-    aug_u = streams.uniforms_open(max_b * shapes.size).reshape(streams.size, max_b, shapes.size)
-    # parameters as (1, elements) rows: with one stream every operation
-    # below then meets equal shapes, which numpy runs without broadcasting
-    eff_shapes, shapes, b_steps, rates = eff_shapes[None], shapes[None], b_steps[None], rates[None]
-    h = _h(eff_shapes, 1.0 + eps / np.sqrt(9.0 * eff_shapes - 3.0))
-    log_prod_u, aug_dsum = _augment(shapes, b_steps, aug_u)
-    log_z = np.log(h) + log_prod_u - np.log(rates)
+    k = bank.size
+    eps, trials = _rejection_rounds(bank.eff_shapes, streams, reps)
+    max_b = bank.max_b
+    aug_u = streams.uniforms_open(max_b * reps * k).reshape(streams.size, max_b, reps, k)
+    # (streams, reps, max_b, k): row j of the augmentation is aug_u[..., j, :]
+    aug_u = aug_u.swapaxes(1, 2)
+    h = _h(bank.eff_shapes, 1.0 + eps / np.sqrt(9.0 * bank.eff_shapes - 3.0))
+    log_prod_u, aug_dsum = (a.reshape(eps.shape) for a in _augment(bank.shapes, bank.b_steps, aug_u))
+    log_z = np.log(h) + log_prod_u - np.log(bank.rates)
     return eps, h, aug_dsum, log_z, trials
 
 
@@ -277,50 +292,74 @@ def _augment(shapes: np.ndarray, b_steps: np.ndarray, aug_u: np.ndarray):
     log_prod_u = np.zeros(aug_u.shape[:-2] + aug_u.shape[-1:])
     aug_dsum = np.zeros(log_prod_u.shape)
     for j in range(aug_u.shape[-2]):
-        step = np.where(j < b_steps, np.log(aug_u[..., j, :]) / (shapes + j), 0.0)
+        shifted = shapes + j
+        step = np.log(aug_u[..., j, :])
+        step /= shifted
+        unused = j >= b_steps
+        if unused.any():
+            step[..., unused] = 0.0
         log_prod_u += step
-        aug_dsum -= step / (shapes + j)
+        # at a shape near 1e-200, ln(u)/shape^2 overflows to -inf, which
+        # the estimators then reject
+        with np.errstate(over="ignore"):
+            step /= shifted
+        aug_dsum -= step
     return log_prod_u, aug_dsum
 
 
-def _rejection_rounds(eff_shapes: np.ndarray, streams: StreamBatch):
+def _rejection_rounds(eff_shapes: np.ndarray, streams: StreamBatch, reps: int = 1):
     """Vectorized propose/accept rounds; one accepted eps per element and stream.
 
-    Every stream owns one row of eff_shapes.size elements. A round takes
+    Every stream owns reps rows of eff_shapes.size elements. A round takes
     one block of 2m words from each stream with m active elements: the
     first m give the proposals' normals and the last m the accept
     uniforms, both in element order. A stream's words therefore do not
     depend on the other streams. More than DEFAULT_TRIAL_BUDGET rounds
-    raise SamplerStallError. Returns (eps, trials), (streams, elements).
+    raise SamplerStallError. Returns (eps, trials), (streams * reps,
+    elements).
     """
     k = eff_shapes.size
-    n_streams = streams.size
-    shapes = eff_shapes if n_streams == 1 else np.tile(eff_shapes, n_streams)
-    s = np.sqrt(9.0 * shapes - 3.0)
-    eps = np.empty(shapes.size)
-    trials = np.zeros(shapes.size, dtype=np.int64)
-    active = np.arange(shapes.size)
+    per_stream = reps * k
+    s = np.sqrt(9.0 * eff_shapes - 3.0)
+    eps = np.empty(0)
+    trials = np.zeros(0, dtype=np.int64)
+    active = np.arange(streams.size * per_stream)
     rounds = 0
     while active.size:
         if rounds >= DEFAULT_TRIAL_BUDGET:
-            shape = float(shapes[active[0]])
+            shape = float(eff_shapes[active[0] % k])
             raise SamplerStallError(shape, float(_log_m_at_mode(shape)), rounds)
         rounds += 1
-        if n_streams == 1:
-            # a lone stream's block is simply its next 2m words
-            e, u = streams.uniforms_open(2 * active.size).reshape(2, active.size)
+        if rounds == 1:
+            # every element is active: each stream's block is its next
+            # 2 * per_stream words, and the parameters broadcast as rows
+            block = streams.uniforms_open(2 * per_stream).reshape(streams.size, 2, reps, k)
+            e, u = block[:, 0].reshape(-1, k), block[:, 1].reshape(-1, k)
+            s_active, shapes = s, eff_shapes
         else:
-            e, u = _round_uniforms(active // k, streams)
+            if streams.size == 1:
+                # a lone stream's block is simply its next 2m words
+                e, u = streams.uniforms_open(2 * active.size).reshape(2, active.size)
+            else:
+                e, u = _round_uniforms(active // per_stream, streams)
+            element = active % k
+            s_active, shapes = s[element], eff_shapes[element]
         e = _ppnd(e)
-        y = 1.0 + e / s[active]
+        y = e / s_active
+        y += 1.0
         ok = y > 0.0
-        ysafe = np.where(ok, y, 1.0)
         # accept with probability exp(log-ratio - log_M)
-        accept = ok & (np.log(u) < _log_ratio(e, ysafe, shapes[active], 0.0))
-        trials[active] += 1
-        eps[active[accept]] = e[accept]
-        active = active[~accept]
-    return eps.reshape(n_streams, k), trials.reshape(n_streams, k)
+        accept = ok & (np.log(u) < _log_ratio(e, np.where(ok, y, 1.0), shapes, 0.0))
+        if rounds == 1:
+            # e is a fresh (rows, k) array: its flat view holds the draws
+            eps, trials = e.reshape(-1), np.ones(e.size, dtype=np.int64)
+            active = np.flatnonzero(~accept)
+        else:
+            trials[active] += 1
+            eps[active[accept]] = e[accept]
+            active = active[~accept]
+    n_rows = streams.size * reps
+    return eps.reshape(n_rows, k), trials.reshape(n_rows, k)
 
 
 def _round_uniforms(owner: np.ndarray, streams: StreamBatch) -> np.ndarray:

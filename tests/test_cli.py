@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -211,11 +212,15 @@ class TestVariance:
 
     def test_numerical_failure_is_not_a_config_error(self, tmp_path, capsys):
         # a valid theta whose tiny shape gives a non-finite gradient estimate
+        # and whose intended infs raise no numpy warning on the way
         out = tmp_path / "v.csv"
-        code = run_cli("variance", "--theta", "1e-200,1,1,1,1", "--g", "20", "--b", "0,1", "--out", str(out))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("variance", "--theta", "1e-200,1,1,1,1", "--g", "20", "--b", "0,1", "--out", str(out))
         err = capsys.readouterr().err
         assert code == 4 and not out.exists()
         assert "numerical failure: estimate rejected" in err and "config error" not in err
+        assert err.splitlines() == ["numerical failure: estimate rejected: non-finite gradient component"]
 
 
 class TestFit:
@@ -293,7 +298,10 @@ class TestFit:
             spec = real_spec(model)
 
             def failing_batch(lzmat):
-                raise DomainError("ELBO estimate is non-finite (nan)")
+                # the ELBO's matrices of --elbo-draws rows; an estimate's has one row
+                if lzmat.shape[0] == 2:
+                    raise DomainError("ELBO estimate is non-finite (nan)")
+                return spec.log_joint_batch(lzmat)
 
             return ModelSpec(spec.latent_layout, spec.log_joint, spec.grad_latents, log_joint_batch=failing_batch)
 

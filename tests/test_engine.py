@@ -149,9 +149,13 @@ class TestRunRsvi:
         assert np.allclose(err.value.theta, [1.0, 1.0])
 
     def test_elbo_failures_abort_instead_of_escaping(self):
-        # estimate succeeds, the reported ELBO's model evaluation raises
+        # estimate succeeds, the reported ELBO's model evaluation raises; the
+        # estimators call the batch callback too, so the fault hits only the
+        # ELBO's matrices of elbo_draws rows
         def failing_batch(lzmat):
-            raise DomainError("log-joint needs finite log latents")
+            if lzmat.shape[0] == 5:
+                raise DomainError("log-joint needs finite log latents")
+            return np.zeros(lzmat.shape[0])
 
         spec = ModelSpec(
             (LatentBlock("z", "gamma_mean_shape", 1),),
@@ -171,9 +175,11 @@ class TestRunRsvi:
         calls = {"n": 0}
 
         def flaky_batch(lzmat):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise DomainError("transient")
+            # the ELBO's matrices have elbo_draws rows; an estimate's has one
+            if lzmat.shape[0] == 5:
+                calls["n"] += 1
+                if calls["n"] == 2:
+                    raise DomainError("transient")
             return conj5_spec.log_joint_batch(lzmat)
 
         spec = ModelSpec(
@@ -219,6 +225,9 @@ class TestRunRsvi:
         seen = {}
 
         def probing_batch(lzmat):
+            # the ELBO's matrices of elbo_draws rows only; an estimate's has one row
+            if lzmat.shape[0] != 5:
+                return def_small_spec.log_joint_batch(lzmat)
             seen["calls"] = seen.get("calls", 0) + 1
             if seen["calls"] in (100, 400):
                 seen[seen["calls"]] = tracemalloc.get_traced_memory()[0]

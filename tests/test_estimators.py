@@ -290,6 +290,71 @@ class TestModelCallbacks:
         assert calls
 
 
+    LZ = np.array([[0.0, 0.5], [1.0, 0.5], [2.0, 0.5]])
+
+    @staticmethod
+    def _row_model(bad_f=(), bad_g=(), width=2):
+        """log-joint 0 and gradient zeros, except -inf and NaN at the rows
+        whose first log latent is listed; `width` entries per gradient."""
+
+        def log_joint(lz):
+            return -math.inf if lz[0] in bad_f else 0.0
+
+        def grad(lz):
+            return np.full(width, math.nan if lz[0] in bad_g else 0.0)
+
+        return ModelSpec((LatentBlock("z", "gamma_mean_shape", 2),), log_joint, grad)
+
+    @pytest.mark.parametrize(
+        "bad_f,bad_g,width,row",
+        [
+            ({1.0}, (), 2, 1),
+            ({1.0, 2.0}, (), 2, 1),
+            ((), {1.0}, 2, None),
+            ((), (), 3, None),
+            # row by row, row 0's gradient comes before row 1's log-joint,
+            # and a row's log-joint before its gradient
+            ({1.0}, {0.0}, 2, None),
+            ({1.0}, {1.0}, 2, 1),
+            ({0.0}, (), 3, 0),
+        ],
+    )
+    def test_model_errors_name_the_first_bad_row(self, bad_f, bad_g, width, row):
+        spec = self._row_model(bad_f, bad_g, width)
+        if row is None:
+            message = "estimate rejected: latent gradient is non-finite or mis-shaped"
+        else:
+            message = f"estimate rejected: log-joint is non-finite (-inf) at log z = {self.LZ[row]!r}"
+        with pytest.raises(DomainError) as err:
+            estimators._eval_model(spec, self.LZ)
+        assert str(err.value) == message
+
+    def test_without_gradient_only_the_log_joint_is_checked(self):
+        f, gf = estimators._eval_model(self._row_model((), {0.0, 1.0, 2.0}, 3), self.LZ, with_grad=False)
+        assert gf is None and np.array_equal(f, np.zeros(3))
+
+    def test_one_model_call_per_replicate_matrix(self, conj5_spec, theta5):
+        calls = []
+
+        def log_joint_batch(lz):
+            calls.append(("log_joint", lz.shape))
+            return conj5_spec.log_joint_batch(lz)
+
+        def grad_latents_batch(lz):
+            calls.append(("grad", lz.shape))
+            return conj5_spec.grad_latents_batch(lz)
+
+        spec = ModelSpec(
+            conj5_spec.latent_layout,
+            conj5_spec.log_joint,
+            conj5_spec.grad_latents,
+            log_joint_batch=log_joint_batch,
+            grad_latents_batch=grad_latents_batch,
+        )
+        variance_profile(spec, theta5, EstimatorConfig("rsvi", aug_b=1, draws=2), 30, RandomStream(4, 0))
+        assert calls == [("log_joint", (30, 5)), ("grad", (30, 5))] * 2
+
+
 class TestElbo:
     def test_matches_exact_conjugate_value(self, conj5, conj5_spec, theta5, q5):
         exact = conjugate_elbo_exact(conj5, q5)

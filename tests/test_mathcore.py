@@ -198,6 +198,94 @@ class TestNormalInverseCdf:
         assert np.max(np.abs(ours - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-13
 
 
+def _poly_out_of_place(coefs, r):
+    s = 0.0 * r
+    for c in reversed(coefs):
+        s = s * r + c
+    return s
+
+
+def _ppnd_out_of_place(u):
+    """The normal quantile kernel written with a fresh array per operation."""
+    q = u - 0.5
+    out = np.empty_like(u)
+    central = np.abs(q) <= 0.425
+    if central.any():
+        r = 0.180625 - q[central] * q[central]
+        out[central] = q[central] * _poly_out_of_place(mathcore._PPND_A, r) / _poly_out_of_place(mathcore._PPND_B, r)
+    tail = ~central
+    if tail.any():
+        ut = u[tail]
+        qt = q[tail]
+        r = np.sqrt(-np.log(np.where(qt < 0.0, ut, 1.0 - ut)))
+        near = r <= 5.0
+        x = np.empty_like(r)
+        if near.any():
+            rn = r[near] - 1.6
+            x[near] = _poly_out_of_place(mathcore._PPND_C, rn) / _poly_out_of_place(mathcore._PPND_D, rn)
+        far = ~near
+        if far.any():
+            rf = r[far] - 5.0
+            x[far] = _poly_out_of_place(mathcore._PPND_E, rf) / _poly_out_of_place(mathcore._PPND_F, rf)
+        out[tail] = np.where(qt < 0.0, -x, x)
+    return out
+
+
+def _stream_words_out_of_place(bases, counters, offsets):
+    x = bases + (counters + offsets) * np.uint64(mathcore._GOLDEN)
+    x = x ^ (x >> np.uint64(30))
+    x = x * np.uint64(mathcore._MIX1)
+    x = x ^ (x >> np.uint64(27))
+    x = x * np.uint64(mathcore._MIX2)
+    return x ^ (x >> np.uint64(31))
+
+
+def _open_unit_out_of_place(words):
+    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+class TestInPlaceKernels:
+    """The stream and normal-quantile kernels work in place on the arrays
+    they create; each must equal its one-array-per-operation form bit for
+    bit."""
+
+    def test_normal_quantile(self):
+        u = RandomStream(3, 7).uniforms_open(10**5 - 400)
+        # central (|u - 1/2| <= 0.425), near tail (r <= 5, u above about
+        # 1.4e-11) and far tail, on both sides, and the ends of the streams'
+        # open unit interval
+        lower, upper = 10.0 ** np.linspace(-300, -2, 100), 1.0 - 10.0 ** np.linspace(-15.9, -2, 100)
+        u = np.concatenate([u, lower, upper, 0.5 + np.linspace(-0.43, 0.43, 198), [2.0**-54, 1.0 - 2.0**-53]])
+        r = np.sqrt(-np.log(np.minimum(u, 1.0 - u)))
+        far, near = r > 5.0, (r <= 5.0) & (np.abs(u - 0.5) > 0.425)
+        assert far.sum() >= 100 and near.sum() >= 10**4 and u.size == 10**5
+        want = _ppnd_out_of_place(u)
+        kept = u.copy()
+        assert np.array_equal(_ppnd_array(u), want)
+        assert np.array_equal(u, kept)  # the input is left as it was
+        # a strided (rows, k) view, as the rejection rounds pass
+        block = u.reshape(2, 250, 200)[:, :, :100]
+        assert np.array_equal(_ppnd_array(block[0]), _ppnd_out_of_place(np.ascontiguousarray(block[0])))
+
+    def test_stream_words(self):
+        base, counter = np.uint64(0x9E3779B97F4A7C15), np.uint64(2**64 - 3)
+        offsets = np.arange(1, 10**5 + 1, dtype=np.uint64)
+        # one stream; a stream per row; stream keys gathered per word
+        bases = StreamBatch.children(RandomStream(5, 1), 0, 50).bases
+        counters = np.arange(50, dtype=np.uint64) * np.uint64(7)
+        owner = np.repeat(np.arange(50), 40)
+        per_word = np.stack([offsets[: owner.size], offsets[: owner.size] + np.uint64(3)])
+        cases = [
+            (base, counter, offsets),
+            (bases[:, None], counters[:, None], offsets[:2000]),
+            (bases[owner], counters[owner], per_word),
+        ]
+        for b, c, o in cases:
+            want = _stream_words_out_of_place(b, c, o)
+            assert np.array_equal(mathcore._stream_words(b, c, o), want)
+            assert np.array_equal(mathcore._open_unit(mathcore._stream_words(b, c, o)), _open_unit_out_of_place(want))
+
+
 class TestRandomStream:
     def test_determinism(self):
         a = RandomStream(123, 9)

@@ -55,9 +55,30 @@ class TestModelSpec:
         spec = ModelSpec(def_small_spec.latent_layout, def_small_spec.log_joint, def_small_spec.grad_latents)
         lz = np.array([def_small_spec.random_interior_point(RandomStream(6, i)) for i in range(3)])
         assert np.array_equal(spec.log_joint_batch(lz), [def_small_spec.log_joint(row) for row in lz])
+        assert np.array_equal(spec.grad_latents_batch(lz), [def_small_spec.grad_latents(row) for row in lz])
+        assert spec.grad_latents_batch(lz[:0]).shape == (0, spec.n_latents)
+
+    @pytest.mark.parametrize("model", ["conj5", "conj100", "def_small", "conj5-default", "def_small-default"])
+    def test_batch_rows_are_the_row_callbacks(self, request, model):
+        # bit for bit: the estimators evaluate a matrix of replicates at
+        # once, and each replicate must equal its estimate alone
+        name, _, default = model.partition("-")
+        if name == "conj100":
+            rng = np.random.default_rng(20170211)
+            spec = conjugate_model_spec(ConjugateModel(np.ones(100), rng.multinomial(100, rng.dirichlet(np.ones(100)))))
+        else:
+            spec = request.getfixturevalue(f"{name}_spec")
+        if default:
+            spec = ModelSpec(spec.latent_layout, spec.log_joint, spec.grad_latents)
+        lz = np.array([spec.random_interior_point(RandomStream(9, i)) for i in range(60)])
+        f, g = spec.log_joint_batch(lz), spec.grad_latents_batch(lz)
+        assert f.shape == (60,) and g.shape == lz.shape
+        for i, row in enumerate(lz):
+            assert f[i] == spec.log_joint(row), i
+            assert np.array_equal(g[i], spec.grad_latents(row)), i
 
     @pytest.mark.parametrize("model", ["conj5", "def_small"])
-    @pytest.mark.parametrize("callback", ["log_joint", "grad_latents", "log_joint_batch"])
+    @pytest.mark.parametrize("callback", ["log_joint", "grad_latents", "log_joint_batch", "grad_latents_batch"])
     def test_bad_rows_are_a_domain_error(self, request, model, callback):
         # too long, too short (a layer cut short), a latent with no log, and
         # a row with an extra axis
@@ -67,8 +88,8 @@ class TestModelSpec:
         nan_first = np.where(np.arange(lz.size) == 0, np.nan, lz)
         for bad in (np.append(lz, [0.0, 0.0]), lz[:-1], nan_first, lz[None]):
             with pytest.raises(DomainError):
-                # the batch callback gets each bad row as a one-row matrix
-                fn(bad[None] if callback == "log_joint_batch" else bad)
+                # a batch callback gets each bad row as a one-row matrix
+                fn(bad[None] if callback.endswith("_batch") else bad)
 
 
 class TestConjugateModel:

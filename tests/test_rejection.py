@@ -196,10 +196,25 @@ class TestBankSampler:
             assert np.array_equal(getattr(bb, field)[0], getattr(bd, field)), field
         assert batch.counter == one.counter > 0
 
+    def test_batch_is_the_repeated_bank(self):
+        # n draws from one stream take its words as one draw of the bank
+        # repeated n times: second rounds at shape 1, and a row of
+        # augmentation uniforms that only shape 0.3's forced step uses
+        shapes, rates = np.array([0.3, 1.0, 2.5, 1.0]), np.array([1.0, 2.0, 0.5, 3.0])
+        bank = make_sampler_bank(shapes, rates, 0)
+        repeated = make_sampler_bank(np.tile(shapes, 60), np.tile(rates, 60), 0)
+        batch, one = RandomStream(16, 2), RandomStream(16, 2)
+        bb, bd = bank.draw_batch(batch, 60), repeated.draw(one)
+        assert bb.trials.max() >= 2
+        for field in ("eps", "h", "aug_dsum", "log_z", "trials"):
+            assert np.array_equal(getattr(bb, field), getattr(bd, field).reshape(60, 4)), field
+        assert batch.counter == one.counter
+
     def test_empty_batch(self):
         bank = make_sampler_bank(np.array([2.0]), 1.0, 0)
-        batch = bank.draw_batch(RandomStream(1, 0), 0)
-        assert batch.z.shape == (0, 1)
+        stream = RandomStream(1, 0)
+        batch = bank.draw_batch(stream, 0)
+        assert batch.z.shape == (0, 1) and stream.counter == 0
         for field in ("eps", "h", "aug_dsum", "log_z", "trials"):
             assert getattr(batch, field).shape == (0, 1), field
         assert batch.trials.dtype == np.int64
