@@ -1,9 +1,10 @@
 """Target models: the conjugate Dirichlet-multinomial and a sparse gamma DEF.
 
-Both expose a ModelSpec (latent layout + log-joint + hand-derived latent
-gradient). The conjugate model additionally carries an exact posterior and an
-analytic objective gradient, which is what makes it the oracle for estimator
-unbiasedness and end-to-end convergence checks.
+Both expose a ModelSpec: a latent layout plus two batch callbacks, the
+log-joint and its hand-derived latent gradient, each evaluated on a matrix
+of log-latent rows at once. The conjugate model additionally carries an
+exact posterior and an analytic objective gradient, which is what makes it
+the oracle for estimator unbiasedness and end-to-end convergence checks.
 """
 
 from __future__ import annotations
@@ -47,28 +48,24 @@ class LatentBlock:
 class ModelSpec:
     """A model as the estimators see it.
 
-    Latents are passed in log space. `log_joint` maps the flat vector of
-    log latents (blocks concatenated in layout order; Dirichlet blocks hold
-    the logs of the simplex coordinates) to log p(x, z), and `grad_latents`
-    returns d log p / d log z of the same shape. `log_joint_batch` maps an
-    (n, n_latents) matrix to the n row values and `grad_latents_batch` to
-    the (n, n_latents) row gradients; row i of each must equal the row
-    callback at row i bit for bit, since the estimators evaluate a matrix
-    of replicates at once and each replicate must match its lone estimate.
-    Without them they are the row loops over `log_joint` and
-    `grad_latents`. All four must accept points slightly off the
-    simplex: finite differences and the normalization chain rule probe
-    there. Log latents keep draws whose value lies below the smallest
-    double (tiny gamma shapes) finite.
+    Latents are passed in log space, one point per row: a row is the flat
+    vector of log latents (blocks concatenated in layout order; Dirichlet
+    blocks hold the logs of the simplex coordinates). `log_joint_batch`
+    maps an (n, n_latents) matrix to the n values log p(x, z), and
+    `grad_latents_batch` to the (n, n_latents) rows d log p / d log z.
+    Row i of an n-row batch must equal the one-row batch of that row bit
+    for bit, since the estimators evaluate a matrix of replicates at once
+    and each replicate must match its lone estimate. Both must accept
+    points slightly off the simplex: finite differences and the
+    normalization chain rule probe there. Log latents keep draws whose
+    value lies below the smallest double (tiny gamma shapes) finite.
     """
 
     def __init__(
         self,
         latent_layout: Sequence[LatentBlock],
-        log_joint: Callable[[np.ndarray], float],
-        grad_latents: Callable[[np.ndarray], np.ndarray],
-        log_joint_batch: Callable[[np.ndarray], np.ndarray] | None = None,
-        grad_latents_batch: Callable[[np.ndarray], np.ndarray] | None = None,
+        log_joint_batch: Callable[[np.ndarray], np.ndarray],
+        grad_latents_batch: Callable[[np.ndarray], np.ndarray],
     ):
         layout = tuple(latent_layout)
         if not layout:
@@ -82,19 +79,6 @@ class ModelSpec:
             if b.dim < 1 or (b.family == "dirichlet" and b.dim < 2):
                 raise DomainError(f"bad dimension for block {b.name!r}: {b.dim}")
         self.latent_layout = layout
-        self.log_joint = log_joint
-        self.grad_latents = grad_latents
-        if log_joint_batch is None:
-
-            def log_joint_batch(lzmat):
-                return np.array([float(log_joint(lz)) for lz in lzmat])
-
-        if grad_latents_batch is None:
-
-            def grad_latents_batch(lzmat):
-                rows = [np.asarray(grad_latents(lz), dtype=float) for lz in lzmat]
-                return np.array(rows) if rows else np.empty(np.shape(lzmat))
-
         self.log_joint_batch = log_joint_batch
         self.grad_latents_batch = grad_latents_batch
 
@@ -123,7 +107,8 @@ class ModelSpec:
         return np.log(z)
 
     def self_check(self, stream: RandomStream, n_points: int = 20, rel_tol: float = 1e-4, h: float = 1e-6) -> float:
-        """Analytic-vs-finite-difference gradient check at random log points.
+        """Analytic-vs-finite-difference gradient check at random log points,
+        each evaluated as a one-row batch.
 
         Error metric per point: max_i |g_i - fd_i| / max(1, max_i |fd_i|).
         Raises DomainError if any point exceeds rel_tol; returns the worst
@@ -132,8 +117,8 @@ class ModelSpec:
         worst = 0.0
         for _ in range(n_points):
             z = self.random_interior_point(stream)
-            g = np.asarray(self.grad_latents(z), dtype=float)
-            fd = finite_diff_grad(self.log_joint, z, h)
+            g = np.asarray(self.grad_latents_batch(z[None]), dtype=float)[0]
+            fd = finite_diff_grad(lambda v: float(self.log_joint_batch(v[None])[0]), z, h)
             err = float(np.max(np.abs(g - fd)) / max(1.0, float(np.max(np.abs(fd)))))
             worst = max(worst, err)
         if worst > rel_tol:
@@ -234,40 +219,31 @@ def conjugate_elbo_exact(m: ConjugateModel, q: DirichletParams) -> float:
 def conjugate_model_spec(m: ConjugateModel) -> ModelSpec:
     """Log-latent adapter: f(log z) = c . log z + const, gradient c.
 
-    One kernel serves rows and matrices: np.vecdot of each row with c, on
-    C-contiguous input, so row i of a batch rounds exactly as the lone row
-    does. (lz @ c does not: its rows differ from the lone-row value in the
-    last bits, and so does vecdot over rows with a non-unit stride.)
+    Each row is np.vecdot of that row with c, on C-contiguous input, so
+    row i of a batch rounds exactly as the one-row batch does. (lz @ c does
+    not: its rows differ from the one-row value in the last bits, and so
+    does vecdot over rows with a non-unit stride.)
     """
     layout = (LatentBlock("z", "dirichlet", m.dim),)
     c = _conjugate_coeffs(m)
     const = _conjugate_const(m)
 
-    def _check(lz, ndim):
+    def _check(lz):
         lz = np.ascontiguousarray(lz, dtype=float)
-        if lz.ndim != ndim or lz.shape[-1] != m.dim:
+        if lz.ndim != 2 or lz.shape[-1] != m.dim:
             raise DomainError(f"log latents must have {m.dim} entries per row, got shape {lz.shape}")
         if not np.isfinite(lz).all():
             raise DomainError("log-joint needs finite log latents")
         return lz
 
-    def log_joint(lz):
-        return float(np.vecdot(_check(lz, 1), c)) + const
-
-    def grad_latents(lz):
-        _check(lz, 1)
-        return c.copy()
-
     def log_joint_batch(lzmat):
-        return np.vecdot(_check(lzmat, 2), c) + const
+        return np.vecdot(_check(lzmat), c) + const
 
     def grad_latents_batch(lzmat):
         # a read-only view: every row is c
-        return np.broadcast_to(c, _check(lzmat, 2).shape)
+        return np.broadcast_to(c, _check(lzmat).shape)
 
-    return ModelSpec(
-        layout, log_joint, grad_latents, log_joint_batch=log_joint_batch, grad_latents_batch=grad_latents_batch
-    )
+    return ModelSpec(layout, log_joint_batch, grad_latents_batch)
 
 
 # --- sparse gamma deep exponential family ---------------------------------------
@@ -341,6 +317,12 @@ def _weight_shapes(layer_sizes, n_dim: int) -> list:
     return [(layer_sizes[0], n_dim)] + list(zip(layer_sizes[:-1], layer_sizes[1:]))
 
 
+def _flat_rows(a: np.ndarray) -> np.ndarray:
+    """A stack with a leading draw axis as an (n, rest) matrix, n = 0 too
+    (reshape(n, -1) cannot infer the rest of an empty stack)."""
+    return a.reshape(a.shape[0], math.prod(a.shape[1:]))
+
+
 def _gamma_logpdf_stack(lz: np.ndarray, shape: float, log_rate, lg_shape: float) -> np.ndarray:
     """Per-draw sum of elementwise log Gam(z; shape, rate) over a stack.
 
@@ -348,8 +330,12 @@ def _gamma_logpdf_stack(lz: np.ndarray, shape: float, log_rate, lg_shape: float)
     representable as a double. lz has a leading draw axis; log_rate may be a
     broadcastable array. Returns one total per draw.
     """
-    per_elem = (shape - 1.0) * lz - np.exp(lz + log_rate) + shape * log_rate - lg_shape
-    return per_elem.reshape(lz.shape[0], -1).sum(axis=1)
+    # a latent far above its mean overflows to inf here, and the log-joint
+    # to -inf: the draw is rejected as impossible
+    with np.errstate(over="ignore"):
+        z_rate = np.exp(lz + log_rate)
+    per_elem = (shape - 1.0) * lz - z_rate + shape * log_rate - lg_shape
+    return _flat_rows(per_elem).sum(axis=1)
 
 
 # shifted products at or above this are exact to rounding (their largest term
@@ -391,7 +377,7 @@ def _def_log_joint_stack(m: SparseGammaDEF, lzs, lws) -> np.ndarray:
     lam = np.exp(log_lam)
     bad = ((lam == 0.0) & (x > 0)).any(axis=(1, 2))
     log_lam_safe = np.maximum(log_lam, _LOG_RATE_FLOOR)
-    total = (x * log_lam_safe - lam).reshape(lam.shape[0], -1).sum(axis=1) + m._poisson_const
+    total = _flat_rows(x * log_lam_safe - lam).sum(axis=1) + m._poisson_const
     az = m.alpha_z
     for l in range(m.n_layers - 1):
         log_mean = _log_matmul(lzs[l + 1], np.swapaxes(lws[l + 1], -1, -2))
@@ -406,10 +392,12 @@ def _def_log_joint_stack(m: SparseGammaDEF, lzs, lws) -> np.ndarray:
     return total
 
 
-def _def_grad_log(m: SparseGammaDEF, lzs, lws):
-    """d log p / d ln z and d log p / d ln w for one point given in log space.
+def _def_grad_log_stack(m: SparseGammaDEF, lzs, lws):
+    """Batched d log p / d ln z and d log p / d ln w from log latents.
 
-    Each path through a rate or a layer mean carries its responsibility
+    lzs and lws are laid out as in _def_log_joint_stack, with a leading
+    draw axis; the gradients come back in the same shapes. Each path
+    through a rate or a layer mean carries its responsibility
     z_ik w_kj / (z w)_ij, which stays in (0, 1] in log space.
     """
     x = m.data.astype(float)
@@ -419,20 +407,20 @@ def _def_grad_log(m: SparseGammaDEF, lzs, lws):
     # d/d ln lam of x ln max(lam, floor) - lam: x - lam at or above the
     # floor, -lam below it, where the log term is the constant x ln floor
     dlam = np.where(log_lam >= _LOG_RATE_FLOOR, x, 0.0) - np.exp(log_lam)
-    resp = np.exp(lzs[0][:, :, None] + lws[0][None, :, :] - log_lam[:, None, :])
-    weighted = resp * dlam[:, None, :]
-    gz[0] += weighted.sum(axis=2)
-    gw[0] += weighted.sum(axis=0)
+    resp = np.exp(lzs[0][..., :, :, None] + lws[0][..., None, :, :] - log_lam[..., :, None, :])
+    weighted = resp * dlam[..., :, None, :]
+    gz[0] += weighted.sum(axis=-1)
+    gw[0] += weighted.sum(axis=-3)
     az = m.alpha_z
     for l in range(m.n_layers - 1):
-        log_mean = _log_matmul(lzs[l + 1], lws[l + 1].T)
+        log_mean = _log_matmul(lzs[l + 1], np.swapaxes(lws[l + 1], -1, -2))
         ratio = np.exp(lzs[l] - log_mean)
         gz[l] += (az - 1.0) - az * ratio
         # d/d ln mean of [az ln(az/mean) - (az/mean) z] = az (z/mean - 1)
-        resp = np.exp(lzs[l + 1][:, None, :] + lws[l + 1][None, :, :] - log_mean[:, :, None])
-        weighted = resp * (az * (ratio - 1.0))[:, :, None]
-        gz[l + 1] += weighted.sum(axis=1)
-        gw[l + 1] += weighted.sum(axis=0)
+        resp = np.exp(lzs[l + 1][..., :, None, :] + lws[l + 1][..., None, :, :] - log_mean[..., :, :, None])
+        weighted = resp * (az * (ratio - 1.0))[..., :, :, None]
+        gz[l + 1] += weighted.sum(axis=-2)
+        gw[l + 1] += weighted.sum(axis=-3)
     ta, tb = m.top_prior
     gz[-1] += (ta - 1.0) - tb * np.exp(lzs[-1])
     wa, wb = m.weight_prior
@@ -467,18 +455,14 @@ def def_model_spec(m: SparseGammaDEF) -> ModelSpec:
             pos += size
         return parts[: m.n_layers], parts[m.n_layers :]
 
-    def log_joint(v):
-        return float(log_joint_batch(np.asarray(v, dtype=float)[None])[0])
-
-    def grad_latents(v):
-        lzs, lws = unpack(np.asarray(v, dtype=float)[None])
-        gz, gw = _def_grad_log(m, [a[0] for a in lzs], [a[0] for a in lws])
-        return np.concatenate([g.ravel() for g in gz] + [g.ravel() for g in gw])
-
     def log_joint_batch(vmat):
         return _def_log_joint_stack(m, *unpack(vmat))
 
-    return ModelSpec(spec_layout, log_joint, grad_latents, log_joint_batch=log_joint_batch)
+    def grad_latents_batch(vmat):
+        gz, gw = _def_grad_log_stack(m, *unpack(vmat))
+        return np.concatenate([_flat_rows(g) for g in gz + gw], axis=1)
+
+    return ModelSpec(spec_layout, log_joint_batch, grad_latents_batch)
 
 
 def _poisson_draw(lam: float, stream: RandomStream) -> int:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +149,21 @@ class TestGradcheck:
         run_cli("gradcheck", "--seed", "5")
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize(
+        "model,line",
+        [
+            ("conjugate", "PASS model_grad_self_check: max_rel_err=6.897948877794871e-10 tol=0.0001"),
+            ("def", "PASS model_grad_self_check: max_rel_err=9.719263475844879e-09 tol=0.0001"),
+        ],
+    )
+    def test_model_check_is_pinned(self, capsys, model, line):
+        # pinned across commits, as test_golden.py pins estimates: a change to
+        # the model callbacks, self_check or finite_diff_grad that moves a
+        # digit shows here
+        assert run_cli("gradcheck", "--model", model, "--seed", "5") == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [row for row in out if "model_grad_self_check" in row] == [line]
+
     def test_negative_control(self, capsys, monkeypatch):
         spec_for = cli._spec_for
 
@@ -152,11 +171,11 @@ class TestGradcheck:
             model, spec = spec_for(cfg)
 
             def corrupted(lz):
-                g = np.array(spec.grad_latents(lz))
-                g[0] += 1.0 + abs(g[0])
+                g = np.array(spec.grad_latents_batch(lz))
+                g[:, 0] += 1.0 + abs(g[:, 0])
                 return g
 
-            return model, ModelSpec(spec.latent_layout, spec.log_joint, corrupted)
+            return model, ModelSpec(spec.latent_layout, spec.log_joint_batch, corrupted)
 
         monkeypatch.setattr(cli, "_spec_for", wrong_gradient)
         assert run_cli("gradcheck", "--seed", "3") == 1
@@ -224,6 +243,23 @@ class TestVariance:
 
 
 class TestFit:
+    def test_overflowing_latents_print_only_the_failures(self, tmp_path):
+        # latents that run huge overflow the gamma log-density's z * rate to
+        # inf on purpose: the log-joint is -inf and the iteration fails. Run
+        # as a process, so stderr is what a user sees, numpy warnings included
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+        args = ["fit", "--model", "def", "--layers", "3,2", "--n-obs", "4", "--n-dim", "3",
+                "--estimator", "importance", "--eta", "30", "--iterations", "30", "--elbo-draws", "5",
+                "--seed", "45", "--out", str(tmp_path / "huge")]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from rsvi.cli import main; sys.exit(main(sys.argv[1:]))", *args],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 4, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert lines and all(line.startswith("numerical failure at iteration ") for line in lines), lines
+
     def test_conjugate_fit_outputs(self, tmp_path):
         out = tmp_path / "run"
         assert run_cli("fit", "--model", "conjugate", "--iterations", "150",
@@ -303,7 +339,7 @@ class TestFit:
                     raise DomainError("ELBO estimate is non-finite (nan)")
                 return spec.log_joint_batch(lzmat)
 
-            return ModelSpec(spec.latent_layout, spec.log_joint, spec.grad_latents, log_joint_batch=failing_batch)
+            return ModelSpec(spec.latent_layout, failing_batch, spec.grad_latents_batch)
 
         monkeypatch.setattr(cli, "conjugate_model_spec", spec_with_failing_elbo)
         out = tmp_path / "numeric"

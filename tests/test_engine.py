@@ -135,12 +135,12 @@ class TestRunRsvi:
     def test_abort_after_three_failures(self):
         calls = {"n": 0}
 
-        def log_joint(z):
+        def log_joint_batch(lz):
             calls["n"] += 1
-            return float("nan")
+            return np.full(len(lz), np.nan)
 
         spec = ModelSpec(
-            (LatentBlock("z", "gamma_mean_shape", 1),), log_joint, lambda z: np.zeros(1)
+            (LatentBlock("z", "gamma_mean_shape", 1),), log_joint_batch, lambda lz: np.zeros((len(lz), 1))
         )
         cfg = RunConfig(max_iters=50, elbo_draws=5, stop_tol=None)
         with pytest.raises(OptimizerAbortError) as err:
@@ -149,19 +149,15 @@ class TestRunRsvi:
         assert np.allclose(err.value.theta, [1.0, 1.0])
 
     def test_elbo_failures_abort_instead_of_escaping(self):
-        # estimate succeeds, the reported ELBO's model evaluation raises; the
-        # estimators call the batch callback too, so the fault hits only the
-        # ELBO's matrices of elbo_draws rows
+        # estimate succeeds, the reported ELBO's model evaluation raises: the
+        # fault hits only the ELBO's matrices of elbo_draws rows
         def failing_batch(lzmat):
             if lzmat.shape[0] == 5:
                 raise DomainError("log-joint needs finite log latents")
             return np.zeros(lzmat.shape[0])
 
         spec = ModelSpec(
-            (LatentBlock("z", "gamma_mean_shape", 1),),
-            lambda lz: 0.0,
-            lambda lz: np.zeros(1),
-            log_joint_batch=failing_batch,
+            (LatentBlock("z", "gamma_mean_shape", 1),), failing_batch, lambda lz: np.zeros((len(lz), 1))
         )
         cfg = RunConfig(max_iters=50, elbo_draws=5, stop_tol=None)
         with pytest.raises(OptimizerAbortError) as err:
@@ -182,9 +178,7 @@ class TestRunRsvi:
                     raise DomainError("transient")
             return conj5_spec.log_joint_batch(lzmat)
 
-        spec = ModelSpec(
-            conj5_spec.latent_layout, conj5_spec.log_joint, conj5_spec.grad_latents, log_joint_batch=flaky_batch
-        )
+        spec = ModelSpec(conj5_spec.latent_layout, flaky_batch, conj5_spec.grad_latents_batch)
         cfg = RunConfig(max_iters=5, elbo_draws=5, stop_tol=None)
         _, trace = run_rsvi(spec, default_theta_init(spec), cfg, RandomStream(3, 0))
         assert [r.iteration for r in trace] == [1, 3, 4, 5]
@@ -207,7 +201,9 @@ class TestRunRsvi:
     def test_rate_out_of_range_fails_the_iteration(self, caplog, shape, mean):
         # a positive, finite theta whose rate shape/mean is inf or 0
         spec = ModelSpec(
-            (LatentBlock("z", "gamma_mean_shape", 1),), lambda lz: 0.0, lambda lz: np.zeros(1)
+            (LatentBlock("z", "gamma_mean_shape", 1),),
+            lambda lz: np.zeros(len(lz)),
+            lambda lz: np.zeros((len(lz), 1)),
         )
         theta0 = np.array([shape, mean])
         cfg = RunConfig(max_iters=2, elbo_draws=5, stop_tol=None)
@@ -233,12 +229,7 @@ class TestRunRsvi:
                 seen[seen["calls"]] = tracemalloc.get_traced_memory()[0]
             return def_small_spec.log_joint_batch(lzmat)
 
-        spec = ModelSpec(
-            def_small_spec.latent_layout,
-            def_small_spec.log_joint,
-            def_small_spec.grad_latents,
-            log_joint_batch=probing_batch,
-        )
+        spec = ModelSpec(def_small_spec.latent_layout, probing_batch, def_small_spec.grad_latents_batch)
         cfg = RunConfig(
             estimator=EstimatorConfig("rsvi", aug_b=1), eta=0.75, max_iters=400, elbo_draws=5, stop_tol=None
         )

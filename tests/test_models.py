@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 from rsvi.distributions import DirichletParams, dirichlet_kl
 from rsvi.exceptions import DomainError
@@ -10,8 +10,10 @@ from rsvi.mathcore import RandomStream, finite_diff_grad
 from rsvi.models import (
     ConjugateModel,
     LatentBlock,
+    POISSON_RATE_FLOOR,
     ModelSpec,
     SparseGammaDEF,
+    _LOG_MATMUL_TINY,
     _log_matmul,
     conjugate_elbo_exact,
     conjugate_exact_elbo_grad,
@@ -23,26 +25,83 @@ from rsvi.models import (
 DEF_1X1_LOG_JOINT = -6.256081093200410  # x=0, w=1, z=1, single layer, by hand
 
 
+def row_value(spec, lz):
+    """log p at one point, as the one-row batch."""
+    return float(spec.log_joint_batch(np.asarray(lz, dtype=float)[None])[0])
+
+
+def row_grad(spec, lz):
+    """d log p / d log z at one point, as the one-row batch."""
+    return np.asarray(spec.grad_latents_batch(np.asarray(lz, dtype=float)[None]), dtype=float)[0]
+
+
+@pytest.fixture(scope="module")
+def def_3layer():
+    counts, _ = make_synthetic_def_data((4, 3, 2), 5, 6, RandomStream(3, 977))
+    return SparseGammaDEF((4, 3, 2), counts)
+
+
+@pytest.fixture(scope="module")
+def def_3layer_spec(def_3layer):
+    return def_model_spec(def_3layer)
+
+
+def _def_edge_rows(m, spec):
+    """40 rows at the DEF kernels' fallbacks: 20 whose Poisson rates take
+    _log_matmul's log-sum-exp recompute (random z1 and w0 entries 700 below
+    the rest) and 20 whose rates lie below POISSON_RATE_FLOOR."""
+    rng = np.random.default_rng(12)
+    blocks = spec.latent_slices()
+    far, low = [], []
+    for i in range(20):
+        row = rng.normal(0.0, 1.0, spec.n_latents)
+        for name in ("z1", "w0"):
+            block = row[blocks[name]]
+            block[rng.random(block.size) < 0.5] -= 700.0
+        far.append(row)
+        row = spec.random_interior_point(RandomStream(10, i))
+        row[blocks["z1"]] -= 15.0
+        row[blocks["w0"]] -= 15.0
+        low.append(row)
+    k1 = m.layer_sizes[0]
+    for rows, in_fallback in (
+        (far, lambda la, lb: _shifted_products(la, lb) < _LOG_MATMUL_TINY),
+        (low, lambda la, lb: _log_matmul(la, lb) < math.log(POISSON_RATE_FLOOR)),
+    ):
+        lz = np.array(rows)
+        la = lz[:, blocks["z1"]].reshape(-1, m.n_obs, k1)
+        lb = lz[:, blocks["w0"]].reshape(-1, k1, m.n_dim)
+        assert in_fallback(la, lb).any(axis=(1, 2)).sum() >= 10
+    return far + low
+
+
+def _shifted_products(la, lb):
+    """The max-shifted products _log_matmul compares against _LOG_MATMUL_TINY."""
+    ma = la.max(axis=-1, keepdims=True)
+    mb = lb.max(axis=-2, keepdims=True)
+    return np.matmul(np.exp(la - ma), np.exp(lb - mb))
+
+
 class TestModelSpec:
     def test_validation(self):
         with pytest.raises(DomainError):
-            ModelSpec((), lambda z: 0.0, lambda z: z)
+            ModelSpec((), lambda z: np.zeros(len(z)), lambda z: z)
         with pytest.raises(DomainError):
-            ModelSpec((LatentBlock("z", "weird", 3),), lambda z: 0.0, lambda z: z)
+            ModelSpec((LatentBlock("z", "weird", 3),), lambda z: np.zeros(len(z)), lambda z: z)
         with pytest.raises(DomainError):
-            ModelSpec((LatentBlock("z", "dirichlet", 1),), lambda z: 0.0, lambda z: z)
+            ModelSpec((LatentBlock("z", "dirichlet", 1),), lambda z: np.zeros(len(z)), lambda z: z)
         with pytest.raises(DomainError):
             ModelSpec(
                 (LatentBlock("a", "dirichlet", 2), LatentBlock("a", "dirichlet", 2)),
-                lambda z: 0.0,
+                lambda z: np.zeros(len(z)),
                 lambda z: z,
             )
 
     def test_self_check_catches_corruption(self, conj5_spec):
         bad = ModelSpec(
             conj5_spec.latent_layout,
-            conj5_spec.log_joint,
-            lambda z: conj5_spec.grad_latents(z) + 0.05,
+            conj5_spec.log_joint_batch,
+            lambda z: conj5_spec.grad_latents_batch(z) + 0.05,
         )
         with pytest.raises(DomainError):
             bad.self_check(RandomStream(0, 0))
@@ -51,34 +110,35 @@ class TestModelSpec:
         assert conj5_spec.self_check(RandomStream(1, 0)) <= 1e-4
         assert def_small_spec.self_check(RandomStream(1, 1)) <= 1e-4
 
-    def test_default_batch_is_the_row_loop(self, def_small_spec):
-        spec = ModelSpec(def_small_spec.latent_layout, def_small_spec.log_joint, def_small_spec.grad_latents)
-        lz = np.array([def_small_spec.random_interior_point(RandomStream(6, i)) for i in range(3)])
-        assert np.array_equal(spec.log_joint_batch(lz), [def_small_spec.log_joint(row) for row in lz])
-        assert np.array_equal(spec.grad_latents_batch(lz), [def_small_spec.grad_latents(row) for row in lz])
-        assert spec.grad_latents_batch(lz[:0]).shape == (0, spec.n_latents)
-
-    @pytest.mark.parametrize("model", ["conj5", "conj100", "def_small", "conj5-default", "def_small-default"])
-    def test_batch_rows_are_the_row_callbacks(self, request, model):
+    @pytest.mark.parametrize("model", ["conj5", "conj100", "def_small", "def_3layer"])
+    def test_batch_rows_are_the_one_row_batch(self, request, model):
         # bit for bit: the estimators evaluate a matrix of replicates at
         # once, and each replicate must equal its estimate alone
-        name, _, default = model.partition("-")
-        if name == "conj100":
+        if model == "conj100":
             rng = np.random.default_rng(20170211)
             spec = conjugate_model_spec(ConjugateModel(np.ones(100), rng.multinomial(100, rng.dirichlet(np.ones(100)))))
         else:
-            spec = request.getfixturevalue(f"{name}_spec")
-        if default:
-            spec = ModelSpec(spec.latent_layout, spec.log_joint, spec.grad_latents)
-        lz = np.array([spec.random_interior_point(RandomStream(9, i)) for i in range(60)])
+            spec = request.getfixturevalue(f"{model}_spec")
+        rows = [spec.random_interior_point(RandomStream(9, i)) for i in range(60)]
+        if model.startswith("def"):
+            rows += _def_edge_rows(request.getfixturevalue(model), spec)
+        lz = np.array(rows)
         f, g = spec.log_joint_batch(lz), spec.grad_latents_batch(lz)
-        assert f.shape == (60,) and g.shape == lz.shape
+        assert f.shape == (len(rows),) and g.shape == lz.shape
         for i, row in enumerate(lz):
-            assert f[i] == spec.log_joint(row), i
-            assert np.array_equal(g[i], spec.grad_latents(row)), i
+            assert f[i].tobytes() == spec.log_joint_batch(row[None])[0].tobytes(), i
+            assert g[i].tobytes() == np.asarray(spec.grad_latents_batch(row[None]))[0].tobytes(), i
 
     @pytest.mark.parametrize("model", ["conj5", "def_small"])
-    @pytest.mark.parametrize("callback", ["log_joint", "grad_latents", "log_joint_batch", "grad_latents_batch"])
+    def test_empty_batch(self, request, model):
+        # no rows in, no rows out, in the shapes of an n-row batch
+        spec = request.getfixturevalue(f"{model}_spec")
+        lz = np.empty((0, spec.n_latents))
+        assert spec.log_joint_batch(lz).shape == (0,)
+        assert np.asarray(spec.grad_latents_batch(lz)).shape == (0, spec.n_latents)
+
+    @pytest.mark.parametrize("model", ["conj5", "def_small", "def_3layer"])
+    @pytest.mark.parametrize("callback", ["log_joint_batch", "grad_latents_batch"])
     def test_bad_rows_are_a_domain_error(self, request, model, callback):
         # too long, too short (a layer cut short), a latent with no log, and
         # a row with an extra axis
@@ -88,8 +148,8 @@ class TestModelSpec:
         nan_first = np.where(np.arange(lz.size) == 0, np.nan, lz)
         for bad in (np.append(lz, [0.0, 0.0]), lz[:-1], nan_first, lz[None]):
             with pytest.raises(DomainError):
-                # a batch callback gets each bad row as a one-row matrix
-                fn(bad[None] if callback.endswith("_batch") else bad)
+                # each bad row as a one-row matrix
+                fn(bad[None])
 
 
 class TestConjugateModel:
@@ -110,8 +170,8 @@ class TestConjugateModel:
         spec = conjugate_model_spec(ConjugateModel(np.ones(k), np.zeros(k, dtype=int)))
         ramp = np.arange(1.0, k + 1)
         for z in (np.full(k, 1.0 / k), ramp / ramp.sum()):
-            assert spec.log_joint(np.log(z)) == pytest.approx(math.lgamma(k), abs=1e-12)
-        assert np.max(np.abs(spec.grad_latents(np.log(ramp)))) <= 1e-12
+            assert row_value(spec, np.log(z)) == pytest.approx(math.lgamma(k), abs=1e-12)
+        assert np.max(np.abs(row_grad(spec, np.log(ramp)))) <= 1e-12
 
     def test_zero_counts_density_integrates_to_one(self):
         spec = conjugate_model_spec(ConjugateModel(np.array([2.0, 3.0, 4.0]), np.zeros(3, dtype=int)))
@@ -120,7 +180,7 @@ class TestConjugateModel:
             z3 = 1.0 - z1 - z2
             if z1 <= 0.0 or z2 <= 0.0 or z3 <= 1e-12:
                 return 0.0
-            return math.exp(spec.log_joint(np.log([z1, z2, z3])))
+            return math.exp(row_value(spec, np.log([z1, z2, z3])))
 
         val, _ = integrate.dblquad(lambda z2, z1: density(z1, z2), 0.0, 1.0, 0.0, lambda z1: 1.0 - z1)
         assert val == pytest.approx(1.0, abs=1e-6)
@@ -135,9 +195,9 @@ class TestConjugateModel:
         stream = RandomStream(23, 0)
         for _ in range(20):
             lzt = np.log(0.2 + 3.0 * stream.uniforms(5))
-            fd = finite_diff_grad(lambda v: conj5_spec.log_joint(v - np.logaddexp.reduce(v)), lzt, 1e-6)
+            fd = finite_diff_grad(lambda v: row_value(conj5_spec, v - np.logaddexp.reduce(v)), lzt, 1e-6)
             lz = lzt - np.logaddexp.reduce(lzt)
-            g = conj5_spec.grad_latents(lz)
+            g = row_grad(conj5_spec, lz)
             an = g - g.sum() * np.exp(lz)
             assert np.max(np.abs(an - fd) / np.maximum(1.0, np.abs(fd))) <= 1e-5
 
@@ -205,21 +265,20 @@ class TestSparseGammaDEF:
 
     def test_frozen_one_by_one_value(self):
         spec = def_model_spec(SparseGammaDEF((1,), np.array([[0]])))
-        assert spec.log_joint(np.array([0.0, 0.0])) == pytest.approx(DEF_1X1_LOG_JOINT, abs=1e-12)
+        assert row_value(spec, np.array([0.0, 0.0])) == pytest.approx(DEF_1X1_LOG_JOINT, abs=1e-12)
 
     def test_zero_rate_positive_count_is_neg_inf(self):
         spec = def_model_spec(SparseGammaDEF((1,), np.array([[1]])))
         # latents whose product underflows produce an exactly zero rate
         lz = np.full(2, math.log(1e-200))
-        assert spec.log_joint(lz) == -math.inf
-        assert spec.log_joint_batch(lz[None])[0] == -math.inf
+        assert row_value(spec, lz) == -math.inf
 
     def test_grad_matches_finite_differences(self, def_small, def_small_spec):
         stream = RandomStream(77, 0)
         for _ in range(5):
             v = 0.3 + 2.0 * stream.uniforms(def_small_spec.n_latents)
-            fd = finite_diff_grad(def_small_spec.log_joint, v, 1e-6)
-            an = def_small_spec.grad_latents(v)
+            fd = finite_diff_grad(lambda v: row_value(def_small_spec, v), v, 1e-6)
+            an = row_grad(def_small_spec, v)
             assert np.max(np.abs(an - fd)) / max(1.0, np.max(np.abs(fd))) <= 1e-4
 
     def test_grad_below_rate_floor_one_by_one(self):
@@ -228,8 +287,8 @@ class TestSparseGammaDEF:
         # (0.1 - 1) - 0.1 z from the top prior, -0.9000 in all
         spec = def_model_spec(SparseGammaDEF((1,), np.array([[3]])))
         v = np.array([-15.0, -15.0])
-        g = spec.grad_latents(v)
-        fd = finite_diff_grad(spec.log_joint, v, 1e-6)
+        g = row_grad(spec, v)
+        fd = finite_diff_grad(lambda v: row_value(spec, v), v, 1e-6)
         assert g[0] == pytest.approx(-0.9, abs=1e-6)
         assert np.max(np.abs(g - fd)) <= 1e-6
 
@@ -244,17 +303,29 @@ class TestSparseGammaDEF:
             v = spec.random_interior_point(stream)
             v[blocks["z1"]] -= 15.0
             v[blocks["w0"]] -= 15.0
-            fd = finite_diff_grad(spec.log_joint, v, 1e-6)
-            an = spec.grad_latents(v)
+            fd = finite_diff_grad(lambda v: row_value(spec, v), v, 1e-6)
+            an = row_grad(spec, v)
             assert np.max(np.abs(an - fd)) / max(1.0, np.max(np.abs(fd))) <= 1e-4
 
-    def test_batch_log_joint_matches_scalar(self, def_small_spec):
-        zs = np.array(
-            [def_small_spec.random_interior_point(RandomStream(5, i)) for i in range(7)]
-        )
-        single = np.array([def_small_spec.log_joint(z) for z in zs])
+    def test_batch_log_joint_matches_scalar(self, def_small, def_small_spec):
+        # against log p written point by point from scipy's densities, in
+        # linear space: Poisson counts, the layer conditional and the priors
+        m = def_small
+        blocks = def_small_spec.latent_slices()
+        zs = np.array([def_small_spec.random_interior_point(RandomStream(5, i)) for i in range(7)])
         batch = def_small_spec.log_joint_batch(zs)
-        assert np.max(np.abs(single - batch)) <= 1e-9
+        for lz, got in zip(zs, batch):
+            z1 = np.exp(lz[blocks["z1"]]).reshape(m.n_obs, m.layer_sizes[0])
+            z2 = np.exp(lz[blocks["z2"]]).reshape(m.n_obs, m.layer_sizes[1])
+            w0 = np.exp(lz[blocks["w0"]]).reshape(m.weight_shapes()[0])
+            w1 = np.exp(lz[blocks["w1"]]).reshape(m.weight_shapes()[1])
+            az = m.alpha_z
+            want = stats.poisson.logpmf(m.data, z1 @ w0).sum()
+            want += stats.gamma.logpdf(z1, az, scale=(z2 @ w1.T) / az).sum()
+            want += stats.gamma.logpdf(z2, m.top_prior[0], scale=1.0 / m.top_prior[1]).sum()
+            for w in (w0, w1):
+                want += stats.gamma.logpdf(w, m.weight_prior[0], scale=1.0 / m.weight_prior[1]).sum()
+            assert got == pytest.approx(want, abs=1e-9)
 
     def test_log_matmul_matches_log_sum_exp(self):
         # reference: ln sum_k exp(la_ik + lb_kj) term by term; the second case
@@ -274,7 +345,7 @@ class TestSparseGammaDEF:
         # the sole latent behind a positive count cannot vanish: f -> -inf as
         # z -> 0+ (the count term x ln(wz) beats the prior's ln-z singularity)
         spec = def_model_spec(SparseGammaDEF((1,), np.array([[3]])))
-        vals = [spec.log_joint(np.array([math.log(s), 0.0])) for s in (1e-2, 1e-5, 1e-8)]
+        vals = [row_value(spec, np.array([math.log(s), 0.0])) for s in (1e-2, 1e-5, 1e-8)]
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < -20.0
 

@@ -272,7 +272,7 @@ class TestLogSpaceDraws:
         # f = ln z - z on one mean-shape latent, in the log-latent contract
         spec = ModelSpec(
             (LatentBlock("z", "gamma_mean_shape", 1),),
-            lambda lz: float(lz[0] - np.exp(lz[0])),
+            lambda lz: lz[:, 0] - np.exp(lz[:, 0]),
             lambda lz: 1.0 - np.exp(lz),
         )
         theta = np.array([shape, shape / rate])
