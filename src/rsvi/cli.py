@@ -73,14 +73,6 @@ class ConfigError(Exception):
 # name -> (parser, default, help). Parsers take the raw string.
 
 
-def _parse_int(s):
-    return int(s)
-
-
-def _parse_float(s):
-    return float(s)
-
-
 def _parse_floats(s):
     vals = [float(v) for v in str(s).split(",") if v != ""]
     if not vals:
@@ -93,10 +85,6 @@ def _parse_ints(s):
     if not vals:
         raise ValueError("empty list")
     return tuple(vals)
-
-
-def _parse_str(s):
-    return str(s)
 
 
 def _parse_bool(s):
@@ -115,65 +103,61 @@ _CHOICES = {
     "format": ("auto", "bow", "csv"),
 }
 
+# the model options of gradcheck, variance and fit
+_MODEL_OPTIONS = {
+    "model": (str, "conjugate", "model: conjugate, or def for the layered count model"),
+    "prior": (_parse_floats, (1.0, 1.0, 1.0, 1.0, 1.0), "conjugate prior concentrations"),
+    "counts": (_parse_ints, (8, 5, 4, 2, 1), "conjugate observed counts"),
+    "layers": (_parse_ints, (10, 5), "layer sizes for the layered count model"),
+    "n-obs": (int, 8, "synthetic observations for the layered model"),
+    "n-dim": (int, 6, "synthetic observation dimension"),
+    "data-seed": (int, 0, "seed for the synthetic layered data"),
+}
+
 SCHEMAS = {
     "sample": {
-        "dist": (_parse_str, "gamma", "distribution to sample (gamma or dirichlet)"),
+        "dist": (str, "gamma", "distribution to sample (gamma or dirichlet)"),
         "alpha": (_parse_floats, (2.0,), "shape (gamma) or comma-separated concentrations (dirichlet)"),
-        "beta": (_parse_float, 1.0, "gamma rate"),
-        "b": (_parse_int, 0, "shape augmentation steps"),
-        "n-draws": (_parse_int, 100000, "number of accepted draws"),
-        "seed": (_parse_int, None, "random seed (default from RSVI_SEED or 0)"),
-        "out": (_parse_str, None, "output CSV path (required)"),
+        "beta": (float, 1.0, "gamma rate"),
+        "b": (int, 0, "shape augmentation steps"),
+        "n-draws": (int, 100000, "number of accepted draws"),
+        "seed": (int, None, "random seed (default from RSVI_SEED or 0)"),
+        "out": (str, None, "output CSV path (required)"),
     },
     "gradcheck": {
-        "model": (_parse_str, "conjugate", "model whose gradients to check"),
-        "prior": (_parse_floats, (1.0, 1.0, 1.0, 1.0, 1.0), "conjugate prior concentrations"),
-        "counts": (_parse_ints, (8, 5, 4, 2, 1), "conjugate observed counts"),
-        "layers": (_parse_ints, (10, 5), "layer sizes for the layered count model"),
-        "n-obs": (_parse_int, 8, "synthetic observations for the layered check"),
-        "n-dim": (_parse_int, 6, "synthetic observation dimension"),
-        "data-seed": (_parse_int, 0, "seed for the synthetic layered data"),
-        "seed": (_parse_int, None, "random seed"),
+        **_MODEL_OPTIONS,
+        "seed": (int, None, "random seed"),
     },
     "variance": {
-        "model": (_parse_str, "conjugate", "model to profile"),
-        "prior": (_parse_floats, (1.0, 1.0, 1.0, 1.0, 1.0), "conjugate prior concentrations"),
-        "counts": (_parse_ints, (8, 5, 4, 2, 1), "conjugate observed counts"),
-        "layers": (_parse_ints, (10, 5), "layer sizes for the layered count model"),
-        "n-obs": (_parse_int, 8, "synthetic observations (layered model)"),
-        "n-dim": (_parse_int, 6, "synthetic observation dimension"),
-        "data-seed": (_parse_int, 0, "seed for the synthetic layered data"),
-        "estimators": (_parse_str, "rsvi,score_function", "comma list of estimators"),
+        **_MODEL_OPTIONS,
+        "estimators": (str, "rsvi,score_function", "comma list of estimators"),
         "b": (_parse_ints, (0, 1, 4), "augmentation steps per rsvi/importance row"),
-        "g": (_parse_int, 1000, "replicates per variance estimate (>= 2)"),
+        "g": (int, 1000, "replicates per variance estimate (>= 2)"),
         "theta": (_parse_floats, None, "evaluation point (default: standard init)"),
-        "draws": (_parse_int, 1, "draws averaged per estimate"),
-        "seed": (_parse_int, None, "random seed"),
-        "out": (_parse_str, None, "output CSV path (required)"),
+        "draws": (int, 1, "draws averaged per estimate"),
+        "seed": (int, None, "random seed"),
+        "out": (str, None, "output CSV path (required)"),
     },
     "fit": {
-        "model": (_parse_str, "conjugate", "model to fit"),
-        "prior": (_parse_floats, (1.0, 1.0, 1.0, 1.0, 1.0), "conjugate prior concentrations"),
-        "counts": (_parse_ints, (8, 5, 4, 2, 1), "conjugate observed counts"),
-        "layers": (_parse_ints, (10, 5), "layer sizes for the layered count model"),
-        "data": (_parse_str, None, "counts file (dense CSV or 'doc word count' triplets)"),
-        "format": (_parse_str, "auto", "data format: auto, bow, or csv"),
-        "n-obs": (_parse_int, 50, "synthetic observations when no data file is given"),
-        "n-dim": (_parse_int, 20, "synthetic observation dimension"),
-        "data-seed": (_parse_int, 0, "seed for synthetic data generation"),
-        "estimator": (_parse_str, "rsvi", "gradient estimator"),
-        "b": (_parse_int, 1, "shape augmentation steps"),
-        "draws": (_parse_int, 1, "draws averaged per gradient estimate"),
-        "eta": (_parse_float, 2.0, "step-size scale"),
-        "iterations": (_parse_int, 1000, "maximum optimization iterations"),
-        "elbo-draws": (_parse_int, 100, "fresh draws per reported ELBO value"),
-        "stop-tol": (_parse_float, None, "early-stop tolerance on the windowed ELBO improvement"),
-        "stop-window": (_parse_int, 200, "window (iterations) for the early-stop rule"),
+        **_MODEL_OPTIONS,
+        "n-obs": (int, 50, "synthetic observations when no data file is given"),
+        "n-dim": (int, 20, "synthetic observation dimension"),
+        "data": (str, None, "counts file (dense CSV or 'doc word count' triplets)"),
+        "format": (str, "auto", "data format: auto, bow, or csv"),
+        "estimator": (str, "rsvi", "gradient estimator"),
+        "b": (int, 1, "shape augmentation steps"),
+        "draws": (int, 1, "draws averaged per gradient estimate"),
+        "eta": (float, 2.0, "step-size scale"),
+        "iterations": (int, 1000, "maximum optimization iterations"),
+        "elbo-draws": (int, 100, "fresh draws per reported ELBO value"),
+        "stop-tol": (float, None, "early-stop tolerance on the windowed ELBO improvement"),
+        "stop-window": (int, 200, "window (iterations) for the early-stop rule"),
         "timings": (_parse_bool, False, "include wall-clock seconds in the trace file"),
-        "seed": (_parse_int, None, "random seed"),
-        "out": (_parse_str, None, "output prefix (required): writes <out>.trace.jsonl and <out>.params.json"),
+        "seed": (int, None, "random seed"),
+        "out": (str, None, "output prefix (required): writes <out>.trace.jsonl and <out>.params.json"),
     },
 }
+
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -263,9 +247,10 @@ def _ks_statistic(sorted_values: np.ndarray, cdf_values: np.ndarray) -> float:
 
 
 def _ks_report(values: np.ndarray, cdf) -> tuple[float, float]:
+    """KS statistic and p-value of `values` against `cdf`, which takes the
+    whole sorted sample at once."""
     v = np.sort(values)
-    cdfv = np.array([cdf(x) for x in v])
-    stat = _ks_statistic(v, cdfv)
+    stat = _ks_statistic(v, cdf(v))
     pvalue = kolmogorov_sf(math.sqrt(v.size) * stat)
     return stat, pvalue
 
@@ -551,6 +536,7 @@ def cmd_fit(cfg: dict) -> int:
         aborted = str(exc)
         theta, trace = exc.theta, exc.trace
     include_clock = bool(cfg["timings"])
+    config = {k: list(v) if isinstance(v, tuple) else v for k, v in sorted(cfg.items())}
     final: dict = {"iterations_run": len(trace), "aborted": aborted}
     if trace:
         final["final_elbo"] = trace[-1].elbo
@@ -561,7 +547,7 @@ def cmd_fit(cfg: dict) -> int:
     else:
         final["stable_smoothed_elbo"] = trace_stability(trace) if trace else False
     with open(trace_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"config": {k: list(v) if isinstance(v, tuple) else v for k, v in sorted(cfg.items())}}) + "\n")
+        fh.write(json.dumps({"config": config}) + "\n")
         for rec in trace:
             row = {
                 "iteration": rec.iteration,
@@ -576,7 +562,7 @@ def cmd_fit(cfg: dict) -> int:
             fh.write(json.dumps(row) + "\n")
         fh.write(json.dumps({"final": final}) + "\n")
     payload = {
-        "config": {k: list(v) if isinstance(v, tuple) else v for k, v in sorted(cfg.items())},
+        "config": config,
         "names": _param_names(spec),
         "constrained": theta.tolist(),
         "unconstrained": softplus_inv(theta).tolist(),
@@ -594,17 +580,13 @@ def cmd_fit(cfg: dict) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"sample": cmd_sample, "gradcheck": cmd_gradcheck, "variance": cmd_variance, "fit": cmd_fit}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args.command, args)
-        if args.command == "sample":
-            return cmd_sample(cfg)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(cfg)
-        if args.command == "variance":
-            return cmd_variance(cfg)
-        return cmd_fit(cfg)
+        return _COMMANDS[args.command](resolve_config(args.command, args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,15 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .mathcore import (
-    _digamma_scalar,
-    _gamma_fns,
-    _lgamma_scalar,
-    _trigamma_scalar,
-    digamma,
-    log_gamma_fn,
-    trigamma,
-)
+from .mathcore import _gamma_fns, trigamma
 
 __all__ = [
     "GammaParams",
@@ -105,8 +97,8 @@ def _gamma_entropy_grad_mean_shape(shapes, means, psi1_shapes):
 
 def gamma_entropy(p: GammaParams) -> float:
     """H = shape - ln rate + ln Gamma(shape) + (1 - shape) psi(shape)."""
-    a = p.shape
-    return float(_gamma_entropy(a, p.rate, _lgamma_scalar(a), _digamma_scalar(a)))
+    lg, psi, _ = _gamma_fns(p.shape, lgamma=True, psi=True)
+    return float(_gamma_entropy(p.shape, p.rate, lg, psi))
 
 
 def gamma_entropy_grad(p: GammaParams) -> tuple[float, float]:
@@ -117,35 +109,41 @@ def gamma_entropy_grad(p: GammaParams) -> tuple[float, float]:
 
 def gamma_entropy_grad_mean_shape(p: GammaMeanShapeParams) -> tuple[float, float]:
     """(dH/dshape, dH/dmean) at fixed mean resp. fixed shape."""
-    return _gamma_entropy_grad_mean_shape(p.shape, p.mean, _trigamma_scalar(p.shape))
+    return _gamma_entropy_grad_mean_shape(p.shape, p.mean, trigamma(p.shape))
+
+
+def _with_total(a: np.ndarray) -> np.ndarray:
+    """Concentrations a followed by their total a0, so that one special
+    function call covers both."""
+    return np.append(a, a.sum())
 
 
 def dirichlet_entropy(p: DirichletParams) -> float:
-    lg, psi, _ = _gamma_fns(p.conc, lgamma=True, psi=True)
+    lg, psi, _ = _gamma_fns(_with_total(p.conc), lgamma=True, psi=True)
     return _dirichlet_entropy(p.conc, lg, psi)
 
 
 def dirichlet_entropy_grad(p: DirichletParams) -> np.ndarray:
-    return _dirichlet_entropy_grad(p.conc, _gamma_fns(p.conc, psi1=True)[2])
+    return _dirichlet_entropy_grad(p.conc, _gamma_fns(_with_total(p.conc), psi1=True)[2])
 
 
-def _dirichlet_entropy(a: np.ndarray, lg_a: np.ndarray, psi_a: np.ndarray) -> float:
-    """Entropy at concentrations a, given ln Gamma(a) and psi(a)."""
+def _dirichlet_entropy(a: np.ndarray, lg: np.ndarray, psi: np.ndarray) -> float:
+    """Entropy at concentrations a, given ln Gamma and psi of _with_total(a)."""
     a0 = float(a.sum())
     k = a.size
     return (
-        float(np.sum(lg_a))
-        - _lgamma_scalar(a0)
-        + (a0 - k) * _digamma_scalar(a0)
-        - float(np.dot(a - 1.0, psi_a))
+        float(np.sum(lg[:k]))
+        - float(lg[k])
+        + (a0 - k) * float(psi[k])
+        - float(np.dot(a - 1.0, psi[:k]))
     )
 
 
-def _dirichlet_entropy_grad(a: np.ndarray, psi1_a: np.ndarray) -> np.ndarray:
-    """Entropy gradient at concentrations a, given psi'(a)."""
+def _dirichlet_entropy_grad(a: np.ndarray, psi1: np.ndarray) -> np.ndarray:
+    """Entropy gradient at concentrations a, given psi' of _with_total(a)."""
     a0 = float(a.sum())
     k = a.size
-    return (a0 - k) * _trigamma_scalar(a0) - (a - 1.0) * psi1_a
+    return (a0 - k) * psi1[k] - (a - 1.0) * psi1[:k]
 
 
 def dirichlet_kl(p: DirichletParams, q: DirichletParams) -> float:
@@ -153,12 +151,14 @@ def dirichlet_kl(p: DirichletParams, q: DirichletParams) -> float:
     if p.dim != q.dim:
         raise DomainError("dirichlet_kl: dimension mismatch")
     ap, aq = p.conc, q.conc
-    a0 = float(ap.sum())
-    elog = digamma(ap) - digamma(a0)
+    k = p.dim
+    lg_p, psi_p, _ = _gamma_fns(_with_total(ap), lgamma=True, psi=True)
+    lg_q = _gamma_fns(_with_total(aq), lgamma=True)[0]
+    elog = psi_p[:k] - psi_p[k]
     return (
-        log_gamma_fn(a0)
-        - float(np.sum(log_gamma_fn(ap)))
-        - log_gamma_fn(float(aq.sum()))
-        + float(np.sum(log_gamma_fn(aq)))
+        float(lg_p[k])
+        - float(np.sum(lg_p[:k]))
+        - float(lg_q[k])
+        + float(np.sum(lg_q[:k]))
         + float(np.dot(ap - aq, elog))
     )

@@ -5,6 +5,8 @@ estimator (a reparameterization term from the accepted proposal plus a
 correction term for the target/proposal mismatch plus the analytic entropy
 gradient), the plain score-function estimator, and an importance-weighted
 variant that skips the accept step and weights by the target/proposal ratio.
+The pathwise and correction terms share one evaluation of the cube per
+draw: its h comes with the draw, and s, y and dh/dalpha are formed once.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from .distributions import (
     _dirichlet_entropy_grad,
     _gamma_entropy,
     _gamma_entropy_grad_mean_shape,
+    _with_total,
 )
 from .exceptions import ContractError, DomainError
-from .mathcore import RandomStream, StreamBatch, _digamma_scalar, _gamma_fns, digamma
+from .mathcore import RandomStream, StreamBatch, _gamma_fns, _scalar_or_array, digamma
 from .models import ModelSpec
-from .rejection import _augment, _build_bank, _cube, _dh_dalpha, _h, _log_ratio, _scalar_or_array
+from .rejection import _build_bank, _cube, _dh_dalpha, _draw_tail, _h, _log_ratio
 
 __all__ = [
     "EstimatorConfig",
@@ -157,7 +160,8 @@ def _check_theta(theta, n_params) -> np.ndarray:
 class BlockState:
     """One parameter block at theta: the gamma shapes (or the Dirichlet
     concentrations), the means (None for Dirichlet), the rates shape/mean
-    (ones for Dirichlet), and ln Gamma, digamma and trigamma of the shapes."""
+    (ones for Dirichlet), and ln Gamma, digamma and trigamma of the shapes,
+    followed for a Dirichlet block by those of the total concentration."""
 
     pb: ParamBlock
     shapes: np.ndarray
@@ -173,8 +177,9 @@ class ThetaState:
 
     Building it checks theta (right shape, positive and finite, and every
     derived rate shape/mean positive and finite), evaluates the special
-    functions of each block's shapes once, and the analytic entropy and
-    its gradient. `estimate` and `estimate_elbo` build one when none is
+    functions of each block's shapes (and a Dirichlet block's total) in
+    one call per block, and the analytic entropy and its gradient.
+    `estimate` and `estimate_elbo` build one when none is
     passed; `run_rsvi` builds one per iterate and passes it to the ELBO of
     the step that reached the iterate and to the gradient estimate taken
     there. `theta` is a read-only copy.
@@ -196,9 +201,11 @@ class ThetaState:
                     rates = shapes / means
                 if not (np.isfinite(rates).all() and (rates > 0.0).all()):
                     raise DomainError("variational rates shape/mean must be positive and finite")
+                args = shapes
             else:
                 shapes, means, rates = seg, None, np.full(pb.dim, 1.0)
-            bs = BlockState(pb, shapes, means, rates, *_gamma_fns(shapes, lgamma=True, psi=True, psi1=True))
+                args = _with_total(shapes)
+            bs = BlockState(pb, shapes, means, rates, *_gamma_fns(args, lgamma=True, psi=True, psi1=True))
             self.blocks.append(bs)
             grad = self.g_entropy[pb.theta_slice]
             if pb.family == "gamma_mean_shape":
@@ -220,7 +227,7 @@ class ThetaState:
             if bs.pb.family == "gamma_mean_shape":
                 consts.append(np.log(bs.rates) - bs.psi)
             else:
-                consts.append(_digamma_scalar(float(bs.shapes.sum())) - bs.psi)
+                consts.append(bs.psi[-1] - bs.psi[:-1])
         return consts
 
     def banks(self, aug_b: int) -> list:
@@ -239,28 +246,26 @@ def _state_for(model, theta, state) -> ThetaState:
 
 def grad_log_ratio_gamma(eps, alpha):
     """d/d alpha of the target/proposal log-ratio at the accepted eps, alpha >= 1."""
-    scalar, eps, alpha, _s, _y = _cube("grad_log_ratio_gamma", eps, alpha)
-    return _scalar_or_array(scalar, _glr_psi(eps, alpha, digamma(alpha)))
+    scalar, eps, alpha, s, y = _cube("grad_log_ratio_gamma", eps, alpha)
+    glr = _glr_psi(eps, alpha, digamma(alpha), s, y, _h(alpha, y), _dh_dalpha(eps, s, y))
+    return _scalar_or_array(scalar, glr)
 
 
-def _glr_psi(eps, alpha, psi_alpha):
-    """d/d alpha of the log-ratio, given psi(alpha) (the bank's psi_eff).
+def _glr_psi(eps, alpha, psi_alpha, s, y, h, ha):
+    """d/d alpha of the log-ratio, given psi(alpha) (the bank's psi_eff)
+    and the cube at eps: s = sqrt(9 alpha - 3), y = 1 + eps/s, h and
+    ha = dh/dalpha.
 
     Sum of the target-density derivative ln h + (alpha-1) h_a / h - h_a
     - psi(alpha) and the Jacobian derivative 1/(2(alpha - 1/3))
-    - 9 eps / ((1 + eps/s)(9 alpha - 3)^(3/2)); h_a is dh/dalpha. Drops to
-    zero as alpha grows, which is exactly why the correction term vanishes
-    for well-behaved shapes. The estimators pass alpha and psi(alpha) as
+    - 9 eps / ((1 + eps/s)(9 alpha - 3)^(3/2)). Drops to zero as alpha
+    grows, which is exactly why the correction term vanishes for
+    well-behaved shapes. The estimators pass alpha and psi(alpha) as
     (1, k) rows against (replicates, k) eps, so a single replicate needs
     no broadcasting.
     """
-    s2 = 9.0 * alpha - 3.0
-    s = np.sqrt(s2)
-    y = 1.0 + eps / s
     d = alpha - 1.0 / 3.0
-    h = _h(alpha, y)
-    ha = _dh_dalpha(eps, s, y)
-    return np.log(h) + (alpha - 1.0) * ha / h - ha - psi_alpha + 0.5 / d - 9.0 * eps / (y * s2 * s)
+    return np.log(h) + (alpha - 1.0) * ha / h - ha - psi_alpha + 0.5 / d - 9.0 * eps / (y * (9.0 * alpha - 3.0) * s)
 
 
 # Latent draws per chunk of replicates in variance_profile. It bounds the
@@ -332,14 +337,17 @@ def _reparam_terms(state, banks, draws, lz, f, gf, weight=None):
     for bs, bank, (eps, h, aug_dsum) in zip(state.blocks, banks, draws):
         pb = bs.pb
         g_block, lz_block = gf[:, pb.latent_slice], lz[:, pb.latent_slice]
-        s = np.sqrt(9.0 * bank.eff_shapes[None] - 3.0)
-        dlogz1_da = _dh_dalpha(eps, s, 1.0 + eps / s) / h + aug_dsum
+        alpha = bank.eff_shapes[None]
+        s = np.sqrt(9.0 * alpha - 3.0)
+        y = 1.0 + eps / s
+        ha = _dh_dalpha(eps, s, y)
+        dlogz1_da = ha / h + aug_dsum
         if pb.family == "gamma_mean_shape":
             rep = np.concatenate([g_block * (dlogz1_da - 1.0 / bs.shapes), g_block / bs.means], axis=-1)
         else:
             rep = (g_block - np.exp(lz_block) * g_block.sum(axis=-1, keepdims=True)) * dlogz1_da
         g_rep[:, pb.theta_slice] = rep if weight is None else rep * weight[:, None]
-        glr = _glr_psi(eps, bank.eff_shapes[None], bank.psi_eff[None])
+        glr = _glr_psi(eps, alpha, bank.psi_eff[None], s, y, h, ha)
         g_cor[:, pb.theta_slice.start : pb.theta_slice.start + pb.dim] = wf * glr
     return g_rep, g_cor
 
@@ -389,15 +397,12 @@ def _draw_importance(state, banks, rows):
         inside = y > 0.0
         valid &= inside.all(axis=1)
         y = np.where(inside, y, 1.0)
-        # y**3 rounds differently from the y*y*y of rejection._h, and the
-        # pinned importance estimates depend on it
-        h = (eff - 1.0 / 3.0) * y**3
         aug_u = rows.uniforms_open(bank.max_b * bank.size).reshape(n_rows, bank.max_b, bank.size)
-        log_prod_u, aug_dsum = _augment(bank.shapes, bank.b_steps, aug_u)
+        h, aug_dsum, log_z = _draw_tail(bank, y, aug_u)
         # rows past the boundary accumulate a finite value that is never used
         log_w += _log_ratio(eps, y, eff, bank.log_M).sum(axis=1)
         draws.append((eps, h, aug_dsum))
-        log_zs.append(np.log(h) + log_prod_u - np.log(bank.rates))
+        log_zs.append(log_z)
     g_rep = np.zeros((n_rows, state.n_params))
     g_cor = np.zeros((n_rows, state.n_params))
     keep = np.flatnonzero(valid)

@@ -3,7 +3,8 @@
 Everything here is self-contained (numpy + stdlib): the special functions
 use classical recurrence shifting plus asymptotic series, so their accuracy
 is testable against external references instead of inherited from whatever
-libm happens to be installed.
+libm happens to be installed. ln Gamma, digamma and trigamma have one
+kernel, the array kernel `_gamma_fns`, which serves scalar arguments too.
 """
 
 from __future__ import annotations
@@ -72,19 +73,6 @@ def _check_positive(x, name):
         raise DomainError(f"{name} requires positive finite input, got {x!r}")
 
 
-def _lgamma_scalar(x: float) -> float:
-    acc = 0.0
-    while x < _SHIFT:
-        acc -= math.log(x)
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    s = 0.0
-    for c in reversed(_LGAMMA_COEF):
-        s = s * inv2 + c
-    return acc + (x - 0.5) * math.log(x) - x + _LN_SQRT_2PI + s * inv
-
-
 def _gamma_fns(x, lgamma=False, psi=False, psi1=False):
     """ln Gamma, digamma and trigamma of a positive array, as asked for.
 
@@ -121,7 +109,7 @@ def _gamma_fns(x, lgamma=False, psi=False, psi1=False):
         acc_psi = np.subtract.reduce(1.0 / taken, axis=0, initial=0.0, where=below)
     if psi1:
         # acc - (-t) is acc + t, bit for bit; a step below about 1e-154
-        # squares to 0 and its term is -inf, as in _trigamma_scalar
+        # squares to 0 and its term is -inf
         with np.errstate(divide="ignore"):
             acc_psi1 = np.subtract.reduce(-1.0 / (taken * taken), axis=0, initial=0.0, where=below)
     inv = 1.0 / x
@@ -146,6 +134,11 @@ def _gamma_fns(x, lgamma=False, psi=False, psi1=False):
     return tuple(None if out is None else out.reshape(shape) for out in (out_lg, out_psi, out_psi1))
 
 
+def _scalar_or_array(scalar, out):
+    """`out`, as a float when the arguments were scalars."""
+    return float(out) if scalar else out
+
+
 def log_gamma_fn(x):
     """ln Gamma(x) for x > 0, scalar or array.
 
@@ -154,70 +147,43 @@ def log_gamma_fn(x):
     well under one part in 1e15.
     """
     _check_positive(x, "log_gamma_fn")
-    if np.ndim(x) == 0:
-        return _lgamma_scalar(float(x))
-    return _gamma_fns(x, lgamma=True)[0]
-
-
-def _digamma_scalar(x: float) -> float:
-    acc = 0.0
-    while x < _SHIFT:
-        acc -= 1.0 / x
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    s = 0.0
-    for c in reversed(_DIGAMMA_COEF):
-        s = s * inv2 + c
-    return acc + math.log(x) - 0.5 * inv - s * inv2
+    return _scalar_or_array(np.ndim(x) == 0, _gamma_fns(x, lgamma=True)[0])
 
 
 def digamma(x):
     """psi(x) = d/dx ln Gamma(x), x > 0, scalar or array."""
     _check_positive(x, "digamma")
-    if np.ndim(x) == 0:
-        return _digamma_scalar(float(x))
-    return _gamma_fns(x, psi=True)[1]
-
-
-def _trigamma_scalar(x: float) -> float:
-    acc = 0.0
-    while x < _SHIFT:
-        # x*x underflows to 0 below about 1e-154, where 1/x^2 is inf as in _gamma_fns
-        xx = x * x
-        acc += 1.0 / xx if xx else math.inf
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    s = 0.0
-    for c in reversed(_TRIGAMMA_COEF):
-        s = s * inv2 + c
-    return acc + inv + 0.5 * inv2 + s * inv2 * inv
+    return _scalar_or_array(np.ndim(x) == 0, _gamma_fns(x, psi=True)[1])
 
 
 def trigamma(x):
     """psi'(x), the derivative of digamma, x > 0, scalar or array."""
     _check_positive(x, "trigamma")
-    if np.ndim(x) == 0:
-        return _trigamma_scalar(float(x))
-    return _gamma_fns(x, psi1=True)[2]
+    return _scalar_or_array(np.ndim(x) == 0, _gamma_fns(x, psi1=True)[2])
 
 
-def reg_lower_gamma(a: float, x: float) -> float:
+def reg_lower_gamma(a: float, x):
     """Regularized lower incomplete gamma P(a, x) = gamma(a, x) / Gamma(a).
 
-    Power series for x < a+1, Lentz continued fraction otherwise
-    (the classic P/Q split; both converge fast in their half).
+    x is a scalar or an array, taken elementwise; ln Gamma(a) is formed
+    once per call. Power series for x < a+1, Lentz continued fraction
+    otherwise (the classic P/Q split; both converge fast in their half).
     """
     a = float(a)
-    x = float(x)
     if not (math.isfinite(a) and a > 0.0):
         raise DomainError(f"reg_lower_gamma requires a > 0, got {a!r}")
-    if not math.isfinite(x) or x < 0.0:
+    xs = np.asarray(x, dtype=float)
+    if not (np.isfinite(xs).all() and (xs >= 0.0).all()):
         raise DomainError(f"reg_lower_gamma requires x >= 0, got {x!r}")
+    lg = float(_gamma_fns(a, lgamma=True)[0])
+    out = np.array([_lower_gamma_at(a, v, lg) for v in xs.ravel().tolist()]).reshape(xs.shape)
+    return _scalar_or_array(np.ndim(x) == 0, out)
+
+
+def _lower_gamma_at(a: float, x: float, lg: float) -> float:
+    """P(a, x) at one x >= 0, given lg = ln Gamma(a)."""
     if x == 0.0:
         return 0.0
-    lg = _lgamma_scalar(a)
     ln_front = -x + a * math.log(x) - lg
     if x < a + 1.0:
         ap = a
@@ -291,26 +257,32 @@ def _betacf(a: float, b: float, x: float) -> float:
     return h
 
 
-def reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b) by continued fraction."""
+def reg_inc_beta(a: float, b: float, x):
+    """Regularized incomplete beta I_x(a, b) by continued fraction.
+
+    x is a scalar or an array, taken elementwise; the ln Gamma terms are
+    formed once per call.
+    """
     a = float(a)
     b = float(b)
-    x = float(x)
     if not (a > 0.0 and b > 0.0 and math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"reg_inc_beta requires a, b > 0, got {a!r}, {b!r}")
-    if not (0.0 <= x <= 1.0):
+    xs = np.asarray(x, dtype=float)
+    if not ((xs >= 0.0) & (xs <= 1.0)).all():
         raise DomainError(f"reg_inc_beta requires x in [0, 1], got {x!r}")
+    lg_ab, lg_a, lg_b = _gamma_fns(np.array([a + b, a, b]), lgamma=True)[0].tolist()
+    lg_ratio = lg_ab - lg_a - lg_b
+    out = np.array([_inc_beta_at(a, b, v, lg_ratio) for v in xs.ravel().tolist()]).reshape(xs.shape)
+    return _scalar_or_array(np.ndim(x) == 0, out)
+
+
+def _inc_beta_at(a: float, b: float, x: float, lg_ratio: float) -> float:
+    """I_x(a, b) at one x in [0, 1], given ln Gamma(a+b) - ln Gamma(a) - ln Gamma(b)."""
     if x == 0.0:
         return 0.0
     if x == 1.0:
         return 1.0
-    ln_front = (
-        _lgamma_scalar(a + b)
-        - _lgamma_scalar(a)
-        - _lgamma_scalar(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
+    ln_front = lg_ratio + a * math.log(x) + b * math.log1p(-x)
     if x < (a + 1.0) / (a + b + 2.0):
         return math.exp(ln_front) * _betacf(a, b, x) / a
     return 1.0 - math.exp(ln_front) * _betacf(b, a, 1.0 - x) / b

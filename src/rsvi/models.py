@@ -335,7 +335,9 @@ def _gamma_logpdf_stack(lz: np.ndarray, shape: float, log_rate, lg_shape: float)
     with np.errstate(over="ignore"):
         z_rate = np.exp(lz + log_rate)
     per_elem = (shape - 1.0) * lz - z_rate + shape * log_rate - lg_shape
-    return _flat_rows(per_elem).sum(axis=1)
+    # finite terms near the largest double can still sum past it, to -inf
+    with np.errstate(over="ignore"):
+        return _flat_rows(per_elem).sum(axis=1)
 
 
 # shifted products at or above this are exact to rounding (their largest term
@@ -414,11 +416,14 @@ def _def_grad_log_stack(m: SparseGammaDEF, lzs, lws):
     az = m.alpha_z
     for l in range(m.n_layers - 1):
         log_mean = _log_matmul(lzs[l + 1], np.swapaxes(lws[l + 1], -1, -2))
-        ratio = np.exp(lzs[l] - log_mean)
-        gz[l] += (az - 1.0) - az * ratio
-        # d/d ln mean of [az ln(az/mean) - (az/mean) z] = az (z/mean - 1)
+        # z times the rate az/mean, formed as the log-joint forms it: it is
+        # finite wherever the log-joint is, and inf only where that is -inf
+        with np.errstate(over="ignore"):
+            z_rate = np.exp(lzs[l] + (math.log(az) - log_mean))
+        gz[l] += (az - 1.0) - z_rate
+        # d/d ln mean of [az ln(az/mean) - (az/mean) z] = az z/mean - az
         resp = np.exp(lzs[l + 1][..., :, None, :] + lws[l + 1][..., None, :, :] - log_mean[..., :, :, None])
-        weighted = resp * (az * (ratio - 1.0))[..., :, :, None]
+        weighted = resp * (z_rate - az)[..., :, :, None]
         gz[l + 1] += weighted.sum(axis=-2)
         gw[l + 1] += weighted.sum(axis=-3)
     ta, tb = m.top_prior

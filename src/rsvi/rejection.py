@@ -13,6 +13,12 @@ h(eps, alpha + B) * prod_i u_i^(1/(alpha + i - 1)) with B extra uniforms.
 The sampler banks carry that product in log space,
 ln z = ln h + sum_i ln(u_i)/(alpha + i - 1), because for small alpha the draw
 itself often lies below the smallest positive double.
+
+The cube, its shape derivative and the log-ratio each have one private
+kernel (`_h`, `_dh_dalpha`, `_log_ratio`), and so has a draw's tail,
+from y = 1 + eps/sqrt(9 alpha - 3) to h, the augmentation derivative and
+ln z (`_draw_tail`); the sampler, the estimators and the checked public
+functions all run them.
 """
 
 from __future__ import annotations
@@ -28,9 +34,9 @@ from .mathcore import (
     RandomStream,
     StreamBatch,
     _gamma_fns,
-    _lgamma_scalar,
     _open_unit,
     _ppnd_array as _ppnd,
+    _scalar_or_array,
     _stream_words,
 )
 
@@ -68,10 +74,6 @@ def _cube(name, eps, alpha):
     if (y <= 0.0).any():
         raise DomainError(f"{name}: eps at or below the support boundary -sqrt(9 alpha - 3)")
     return scalar, eps, arr, s, y
-
-
-def _scalar_or_array(scalar, out):
-    return float(out) if scalar else out
 
 
 def _h(alpha, y):
@@ -154,10 +156,10 @@ def _log_m_at_mode(alpha):
     + ln(sqrt(2 pi)) - ln Gamma(alpha). exp(-log_M) is the sampler's
     acceptance probability. Shapes are taken to be checked.
     """
-    lg = _lgamma_scalar(float(alpha)) if np.ndim(alpha) == 0 else _gamma_fns(alpha, lgamma=True)[0]
-    d = np.asarray(alpha, dtype=float) - 1.0 / 3.0
-    out = (np.asarray(alpha, dtype=float) - 0.5) * np.log(d) - d + _LN_SQRT_2PI - lg
-    return float(out) if np.ndim(alpha) == 0 else out
+    alpha_arr = np.asarray(alpha, dtype=float)
+    d = alpha_arr - 1.0 / 3.0
+    out = (alpha_arr - 0.5) * np.log(d) - d + _LN_SQRT_2PI - _gamma_fns(alpha_arr, lgamma=True)[0]
+    return _scalar_or_array(np.ndim(alpha) == 0, out)
 
 
 # --- sampling -----------------------------------------------------------------
@@ -248,10 +250,20 @@ def _draw_rows(bank: SamplerBank, streams: StreamBatch, reps: int = 1):
     aug_u = streams.uniforms_open(max_b * reps * k).reshape(streams.size, max_b, reps, k)
     # (streams, reps, max_b, k): row j of the augmentation is aug_u[..., j, :]
     aug_u = aug_u.swapaxes(1, 2)
-    h = _h(bank.eff_shapes, 1.0 + eps / np.sqrt(9.0 * bank.eff_shapes - 3.0))
-    log_prod_u, aug_dsum = (a.reshape(eps.shape) for a in _augment(bank.shapes, bank.b_steps, aug_u))
+    y = 1.0 + eps / np.sqrt(9.0 * bank.eff_shapes - 3.0)
+    return (eps, *_draw_tail(bank, y, aug_u), trials)
+
+
+def _draw_tail(bank: SamplerBank, y: np.ndarray, aug_u: np.ndarray):
+    """(h, aug_dsum, log_z) of draws whose cube runs at y = 1 + eps/s.
+
+    y is (rows, bank.size), and `aug_u` holds each row's max_b rows of
+    augmentation uniforms on its second-to-last axis (see `_augment`).
+    """
+    h = _h(bank.eff_shapes, y)
+    log_prod_u, aug_dsum = (a.reshape(y.shape) for a in _augment(bank.shapes, bank.b_steps, aug_u))
     log_z = np.log(h) + log_prod_u - np.log(bank.rates)
-    return eps, h, aug_dsum, log_z, trials
+    return h, aug_dsum, log_z
 
 
 @dataclass(frozen=True)

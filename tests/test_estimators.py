@@ -429,6 +429,41 @@ class TestThetaState:
             assert state.entropy == gamma_entropy(p.as_shape_rate())
             assert state.g_entropy.tolist() == list(gamma_entropy_grad_mean_shape(p))
 
+    @pytest.mark.parametrize(
+        "conc", [[1.4, 0.8, 2.2, 1.0, 3.0], [0.05] * 7, np.linspace(0.3, 4.0, 100)], ids=["theta5", "tiny", "k100"]
+    )
+    def test_dirichlet_entropy_is_the_public_formula(self, conc):
+        from rsvi.distributions import DirichletParams, dirichlet_entropy, dirichlet_entropy_grad
+
+        conc = np.asarray(conc)
+        state = ThetaState(flat_model(conc.size), conc)
+        assert state.entropy == dirichlet_entropy(DirichletParams(conc))
+        assert np.array_equal(state.g_entropy, dirichlet_entropy_grad(DirichletParams(conc)))
+
+    @pytest.mark.parametrize("model", ["conj5", "def_small", "toy"])
+    def test_one_special_function_call_per_block(self, request, monkeypatch, model):
+        from rsvi import distributions, mathcore, rejection
+
+        if model == "toy":
+            spec, theta = gamma_toy_model([1.0, 2.0], [0.5, 1.0]), np.array([0.3, 2.0, 1.5, 0.7])
+        else:
+            spec, theta = self._model_theta(request, model)
+        calls = []
+        kernel = mathcore._gamma_fns
+
+        def counted(*args, **kwargs):
+            calls.append(np.size(args[0]))
+            return kernel(*args, **kwargs)
+
+        for module in (mathcore, distributions, rejection, estimators):
+            monkeypatch.setattr(module, "_gamma_fns", counted)
+        state = ThetaState(spec, theta)
+        state.score_consts
+        blocks = param_layout(spec)[0]
+        assert len(calls) == len(blocks)
+        # a Dirichlet block's call also covers its total concentration
+        assert calls == [pb.dim + (pb.family == "dirichlet") for pb in blocks]
+
     def test_state_of_another_theta_or_model_rejected(self, conj5_spec, theta5):
         state = ThetaState(conj5_spec, theta5)
         with pytest.raises(ContractError):

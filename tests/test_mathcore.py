@@ -152,6 +152,15 @@ class TestSharedSpecialKernel:
         assert lg is None and psi1 is None
         assert np.array_equal(psi, digamma(np.array([0.5, 3.0])))
 
+    @pytest.mark.parametrize("fn,index", [(log_gamma_fn, 0), (digamma, 1), (trigamma, 2)])
+    def test_scalar_is_the_one_element_kernel(self, fn, index):
+        xs = np.concatenate([np.geomspace(2e-9, 3000.0, 1500), np.arange(1.0, 40.0), [0.5, 12.0 - 2e-15]])
+        which = {"lgamma": index == 0, "psi": index == 1, "psi1": index == 2}
+        for x in xs.tolist():
+            got = fn(x)
+            assert type(got) is float
+            assert got == _gamma_fns(np.array([x]), **which)[index][0], x
+
     @pytest.mark.parametrize("fn", [log_gamma_fn, digamma, trigamma])
     @pytest.mark.parametrize(
         "bad",
@@ -175,6 +184,21 @@ class TestIncompleteFunctions:
         for a, b, x in pts:
             assert reg_inc_beta(a, b, x) == pytest.approx(special.betainc(a, b, x), abs=1e-13)
 
+    def test_array_x_is_the_scalar_calls(self):
+        rng = np.random.default_rng(5)
+        for a in (0.3, 2.0, 1e3):
+            # both halves of the P/Q split, and x = 0
+            x = np.concatenate([[0.0], rng.uniform(0.0, 3.0 * a + 5.0, 41)]).reshape(3, 14)
+            got = reg_lower_gamma(a, x)
+            assert got.shape == x.shape
+            assert np.array_equal(got, [[reg_lower_gamma(a, v) for v in row] for row in x.tolist()])
+        for a, b in ((0.5, 0.5), (2.0, 3.0), (10.0, 2.0), (0.1, 0.2)):
+            x = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 40)])
+            got = reg_inc_beta(a, b, x)
+            assert np.array_equal(got, [reg_inc_beta(a, b, v) for v in x.tolist()])
+        assert reg_lower_gamma(2.0, np.array([])).shape == (0,)
+        assert type(reg_lower_gamma(2.0, 1.0)) is float and type(reg_inc_beta(2.0, 3.0, 0.5)) is float
+
     def test_kolmogorov_sf(self):
         for t in [0.3, 0.5, 1.0, 1.5, 2.0]:
             assert kolmogorov_sf(t) == pytest.approx(special.kolmogorov(t), abs=1e-12)
@@ -186,6 +210,14 @@ class TestIncompleteFunctions:
             reg_lower_gamma(1.0, -1.0)
         with pytest.raises(DomainError):
             reg_inc_beta(1.0, 1.0, 2.0)
+        with pytest.raises(DomainError):
+            reg_lower_gamma(1.0, np.array([1.0, -1.0]))
+        with pytest.raises(DomainError):
+            reg_lower_gamma(1.0, np.array([1.0, np.nan]))
+        with pytest.raises(DomainError):
+            reg_inc_beta(1.0, 1.0, np.array([0.5, 1.5]))
+        with pytest.raises(DomainError):
+            reg_inc_beta(1.0, 1.0, np.array([0.5, np.nan]))
 
 
 class TestNormalInverseCdf:

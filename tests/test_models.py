@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -340,6 +341,31 @@ class TestSparseGammaDEF:
             ref = np.logaddexp.reduce(la[..., :, :, None] + lb[..., None, :, :], axis=-2)
             assert np.allclose(_log_matmul(la, lb), ref, rtol=1e-13, atol=0.0)
         assert _log_matmul(*cases[1])[0, 0] == pytest.approx(-2000.0 + math.log(2.0), rel=1e-15)
+
+    @pytest.mark.parametrize("top", [-710.5, -712.2, -720.0])
+    def test_latent_far_above_its_mean(self, def_small_spec, top):
+        # both z2 entries of row 0 far down in log space put row 0 of z1
+        # some 710 above the log of its layer mean. At -710.5 the log-joint
+        # is finite and so must the gradient be; further down the log-joint
+        # overflows to -inf and the estimate is rejected. No numpy warning
+        # is printed on either side.
+        from rsvi.estimators import _eval_model
+
+        z1, z2 = def_small_spec.latent_layout[:2]
+        assert (z1.name, z2.name, z2.dim) == ("z1", "z2", 8)
+        lz = np.zeros((1, def_small_spec.n_latents))
+        lz[0, z1.dim : z1.dim + 2] = top  # z2 is 4 x 2, and its row 0 follows z1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = def_small_spec.log_joint_batch(lz)
+            g = def_small_spec.grad_latents_batch(lz)
+            if top == -710.5:
+                assert np.isfinite(f).all() and np.isfinite(g).all()
+                _eval_model(def_small_spec, lz)
+            else:
+                assert f[0] == -np.inf
+                with pytest.raises(DomainError, match="log-joint is non-finite"):
+                    _eval_model(def_small_spec, lz)
 
     def test_log_joint_diverges_at_boundary(self):
         # the sole latent behind a positive count cannot vanish: f -> -inf as
