@@ -32,6 +32,7 @@ from .engine import RunConfig, run_rsvi, softplus_inv, softplus_jacobian, trace_
 from .estimators import (
     EstimatorConfig,
     ThetaState,
+    _log_simplex,
     default_theta_init,
     grad_log_ratio_gamma,
     param_layout,
@@ -298,7 +299,7 @@ def cmd_sample(cfg: dict) -> int:
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
         k = conc.size
-        z = np.exp(batch.log_z - np.logaddexp.reduce(batch.log_z, axis=1, keepdims=True))
+        z = np.exp(_log_simplex(batch.log_z))
         columns = (
             [f"epsilon_{i}" for i in range(k)]
             + [f"z_{i}" for i in range(k)]

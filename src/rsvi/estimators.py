@@ -265,13 +265,43 @@ def _glr_psi(eps, alpha, psi_alpha, s, y, h, ha):
     no broadcasting.
     """
     d = alpha - 1.0 / 3.0
-    return np.log(h) + (alpha - 1.0) * ha / h - ha - psi_alpha + 0.5 / d - 9.0 * eps / (y * (9.0 * alpha - 3.0) * s)
+    # in place on two arrays of h's shape (the full one, 0-d for scalars),
+    # in the order of ln h + (alpha - 1) ha / h - ha - psi + 0.5 / d
+    # - 9 eps / ((y (9 alpha - 3)) s)
+    out = np.log(h, out=np.empty(np.shape(h)))
+    t = np.multiply(ha, alpha - 1.0, out=np.empty(np.shape(h)))
+    t /= h
+    out += t
+    out -= ha
+    out -= psi_alpha
+    out += 0.5 / d
+    np.multiply(y, 9.0 * alpha - 3.0, out=t)
+    t *= s
+    out -= np.divide(np.multiply(eps, 9.0), t, out=t)
+    return out
 
 
-# Latent draws per chunk of replicates in variance_profile. It bounds the
-# chunk's memory; results do not depend on it, because every replicate
-# draws from its own stream.
+# Latent draws per chunk of rows: of replicates in variance_profile, of
+# draws in estimate_elbo's model calls. It bounds the chunk's memory;
+# results do not depend on it, because every replicate draws from its own
+# stream and the model evaluates each row on its own.
 _CHUNK_DRAWS = 2**13
+
+
+def _rows_per_chunk(model) -> int:
+    return max(1, _CHUNK_DRAWS // model.n_latents)
+
+
+def _log_simplex(log_z, out=None):
+    """Rows of log_z normalized onto the log simplex: log_z minus the
+    log-sum-exp of its row.
+
+    The log-sum-exp is a left-to-right fold of np.logaddexp along each
+    row, run over the first axis of the transposed copy so that every step
+    is one contiguous pass over all the rows.
+    """
+    lse = np.logaddexp.reduce(np.ascontiguousarray(log_z.T), axis=0)
+    return np.subtract(log_z, lse[:, None], out=out)
 
 
 def _log_latents(state, log_zs):
@@ -280,9 +310,10 @@ def _log_latents(state, log_zs):
     normalized onto the log simplex."""
     lz = np.empty((log_zs[0].shape[0], state.model.n_latents))
     for bs, log_z in zip(state.blocks, log_zs):
-        if bs.pb.family != "gamma_mean_shape":
-            log_z = log_z - np.logaddexp.reduce(log_z, axis=-1, keepdims=True)
-        lz[:, bs.pb.latent_slice] = log_z
+        if bs.pb.family == "gamma_mean_shape":
+            lz[:, bs.pb.latent_slice] = log_z
+        else:
+            _log_simplex(log_z, out=lz[:, bs.pb.latent_slice])
     return lz
 
 
@@ -337,18 +368,27 @@ def _reparam_terms(state, banks, draws, lz, f, gf, weight=None):
     for bs, bank, (eps, h, aug_dsum) in zip(state.blocks, banks, draws):
         pb = bs.pb
         g_block, lz_block = gf[:, pb.latent_slice], lz[:, pb.latent_slice]
+        shape_part = slice(pb.theta_slice.start, pb.theta_slice.start + pb.dim)
         alpha = bank.eff_shapes[None]
         s = np.sqrt(9.0 * alpha - 3.0)
-        y = 1.0 + eps / s
+        y = eps / s
+        y += 1.0
         ha = _dh_dalpha(eps, s, y)
-        dlogz1_da = ha / h + aug_dsum
+        dlogz1_da = ha / h
+        dlogz1_da += aug_dsum
         if pb.family == "gamma_mean_shape":
-            rep = np.concatenate([g_block * (dlogz1_da - 1.0 / bs.shapes), g_block / bs.means], axis=-1)
+            dlogz1_da -= 1.0 / bs.shapes
+            np.multiply(g_block, dlogz1_da, out=g_rep[:, shape_part])
+            np.divide(g_block, bs.means, out=g_rep[:, shape_part.stop : pb.theta_slice.stop])
         else:
-            rep = (g_block - np.exp(lz_block) * g_block.sum(axis=-1, keepdims=True)) * dlogz1_da
-        g_rep[:, pb.theta_slice] = rep if weight is None else rep * weight[:, None]
+            rep = np.exp(lz_block)
+            rep *= g_block.sum(axis=-1, keepdims=True)
+            np.subtract(g_block, rep, out=rep)
+            np.multiply(rep, dlogz1_da, out=g_rep[:, pb.theta_slice])
+        if weight is not None:
+            g_rep[:, pb.theta_slice] *= weight[:, None]
         glr = _glr_psi(eps, alpha, bank.psi_eff[None], s, y, h, ha)
-        g_cor[:, pb.theta_slice.start : pb.theta_slice.start + pb.dim] = wf * glr
+        np.multiply(wf, glr, out=g_cor[:, shape_part])
     return g_rep, g_cor
 
 
@@ -405,8 +445,9 @@ def _draw_importance(state, banks, rows):
         log_zs.append(log_z)
     g_rep = np.zeros((n_rows, state.n_params))
     g_cor = np.zeros((n_rows, state.n_params))
-    keep = np.flatnonzero(valid)
-    if keep.size:
+    # when every row is inside, the rows are taken as they are, not gathered
+    keep = slice(None) if valid.all() else np.flatnonzero(valid)
+    if valid.any():
         weight = np.array([math.exp(w) for w in log_w[keep]])
         lz = _log_latents(state, [log_z[keep] for log_z in log_zs])
         f, gf = _eval_model(state.model, lz)
@@ -430,19 +471,22 @@ def _estimate_rows(cfg, state, banks, rows):
     model runs once per row, and the draws of a replicate come one after
     another from its stream.
     """
-    g_rep = np.zeros((rows.size, state.n_params))
-    g_cor = np.zeros((rows.size, state.n_params))
-    trials = np.zeros(rows.size, dtype=np.int64)
     draw_fn = _DRAW_FNS[cfg.kind]
     # a draw starts where the previous one's rejection rounds left each
-    # stream, so the draws run in turn rather than side by side
-    for _ in range(cfg.draws):
+    # stream, so the draws run in turn rather than side by side. The sums
+    # start from the first draw's fresh arrays; + 0.0 turns its -0.0 into
+    # +0.0, as a sum started from zeros does
+    g_rep, g_cor, trials = draw_fn(state, banks, rows)
+    g_rep += 0.0
+    g_cor += 0.0
+    for _ in range(cfg.draws - 1):
         rep, cor, t = draw_fn(state, banks, rows)
         g_rep += rep
         g_cor += cor
         trials += t
-    g_rep /= cfg.draws
-    g_cor /= cfg.draws
+    if cfg.draws > 1:
+        g_rep /= cfg.draws
+        g_cor /= cfg.draws
     total = g_rep + g_cor + state.g_entropy[None]
     if not np.isfinite(total).all():
         raise DomainError("estimate rejected: non-finite gradient component")
@@ -496,11 +540,12 @@ def variance_profile(model, theta, cfg, G: int, stream: RandomStream) -> Varianc
         raise ContractError("variance_profile needs G >= 2 replicates")
     state = ThetaState(model, theta)
     banks = state.banks(cfg.aug_b)
-    per_chunk = max(1, _CHUNK_DRAWS // model.n_latents)
+    per_chunk = _rows_per_chunk(model)
+    children = StreamBatch.children(stream, 0, G)
     totals = np.empty((G, state.n_params))
     for lo in range(0, G, per_chunk):
-        hi = min(G, lo + per_chunk)
-        totals[lo:hi] = _estimate_rows(cfg, state, banks, StreamBatch.children(stream, lo, hi))[2]
+        rows = StreamBatch(children.bases[lo : lo + per_chunk], children.counters[lo : lo + per_chunk])
+        totals[lo : lo + per_chunk] = _estimate_rows(cfg, state, banks, rows)[2]
     variances = totals.var(axis=0, ddof=1)
     # identical replicates have zero variance by definition, not roundoff dust
     variances[np.ptp(totals, axis=0) == 0.0] = 0.0
@@ -527,7 +572,11 @@ def estimate_elbo(
         raise ContractError("estimate_elbo needs n_draws >= 1")
     state = _state_for(model, theta, state)
     log_zs = [bank.draw_batch(stream, n_draws).log_z for bank in state.banks(0)]
-    elbo = float(np.mean(model.log_joint_batch(_log_latents(state, log_zs)))) + state.entropy
+    lz = _log_latents(state, log_zs)
+    # the model runs on chunks of rows, which bounds its temporaries
+    per_chunk = _rows_per_chunk(model)
+    f = np.concatenate([model.log_joint_batch(lz[lo : lo + per_chunk]) for lo in range(0, n_draws, per_chunk)])
+    elbo = float(np.mean(f)) + state.entropy
     if not math.isfinite(elbo):
         raise DomainError(f"ELBO estimate is non-finite ({elbo!r})")
     return elbo

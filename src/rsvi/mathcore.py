@@ -64,6 +64,18 @@ _TRIGAMMA_COEF = (
     7.0 / 6.0,
 )
 
+
+def _table(*polys):
+    """Coefficient table of a stack of polynomials for `_horner`: one
+    (rows, 1) column per power, constant term first."""
+    return tuple(np.array(column)[:, None] for column in zip(*polys, strict=True))
+
+
+# The three series, one row each for one Horner pass in 1/x^2. The 7-term
+# rows are padded with a top coefficient of 0.0: Horner's first step
+# 0.0 * t + c is exactly c for a finite t.
+_GAMMA_SERIES = _table(_LGAMMA_COEF, _DIGAMMA_COEF + (0.0,), _TRIGAMMA_COEF + (0.0,))
+
 _SHIFT = 12.0  # arguments below this are recurrence-shifted before the series
 
 
@@ -115,22 +127,15 @@ def _gamma_fns(x, lgamma=False, psi=False, psi1=False):
     inv = 1.0 / x
     inv2 = inv * inv
     log_x = np.log(x) if lgamma or psi else None
+    # one pass for the three series: x >= _SHIFT keeps inv2 small and finite
+    s_lg, s_psi, s_psi1 = _horner(_GAMMA_SERIES, inv2)
     out_lg = out_psi = out_psi1 = None
     if lgamma:
-        s = np.zeros_like(x)
-        for c in reversed(_LGAMMA_COEF):
-            s = s * inv2 + c
-        out_lg = acc_lg + (x - 0.5) * log_x - x + _LN_SQRT_2PI + s * inv
+        out_lg = acc_lg + (x - 0.5) * log_x - x + _LN_SQRT_2PI + s_lg * inv
     if psi:
-        s = np.zeros_like(x)
-        for c in reversed(_DIGAMMA_COEF):
-            s = s * inv2 + c
-        out_psi = acc_psi + log_x - 0.5 * inv - s * inv2
+        out_psi = acc_psi + log_x - 0.5 * inv - s_psi * inv2
     if psi1:
-        s = np.zeros_like(x)
-        for c in reversed(_TRIGAMMA_COEF):
-            s = s * inv2 + c
-        out_psi1 = acc_psi1 + inv + 0.5 * inv2 + s * inv2 * inv
+        out_psi1 = acc_psi1 + inv + 0.5 * inv2 + s_psi1 * inv2 * inv
     return tuple(None if out is None else out.reshape(shape) for out in (out_lg, out_psi, out_psi1))
 
 
@@ -366,15 +371,24 @@ _PPND_F = (
 )
 
 
-def _poly(coefs, r):
-    """Horner's rule, in place after its first product. The rule's first
-    step from 0.0, 0.0 * r + c, is just c for the finite r it gets, so the
-    product of the last coefficient with r starts it."""
-    s = r * coefs[-1]
-    s += coefs[-2]
-    for c in reversed(coefs[:-2]):
-        s *= r
-        s += c
+# numerator and denominator of each branch, one row each
+_PPND_AB = _table(_PPND_A, _PPND_B)
+_PPND_CD = _table(_PPND_C, _PPND_D)
+_PPND_EF = _table(_PPND_E, _PPND_F)
+
+
+def _horner(table, t):
+    """Every polynomial of a `_table` at the 1-D array t, one row each.
+
+    Horner's rule, in place after its first product. The rule's first step
+    from 0.0, 0.0 * t + c, is just c for the finite t it gets, so the
+    product of the top coefficient with t starts it.
+    """
+    s = table[-1] * t
+    s += table[-2]
+    for column in table[-3::-1]:
+        s *= t
+        s += column
     return s
 
 
@@ -383,46 +397,46 @@ def _ppnd_array(u: np.ndarray) -> np.ndarray:
 
     Wichura's AS 241 rational approximations (the PPND16 variant), pure
     arithmetic apart from sqrt/log, accurate to ~1e-16 relative.
+
+    The central branch runs over every element, and the tail elements,
+    gathered by index, then overwrite their results. On a tail input the
+    central formula stays finite: there r = 0.180625 - q^2 lies in
+    (-0.0694, 0), where its denominator is above 0.002.
     """
-    q = u - 0.5
-    central = np.abs(q) <= 0.425
-    tail = ~central
-    qc = q[central]
-    ut = u[tail]
+    shape = np.shape(u)
+    q = np.subtract(u, 0.5, dtype=float).reshape(-1)
+    tail = (np.abs(q) > 0.425).nonzero()[0]
     qt = q[tail]
-    # every value of q the branches read is gathered, so q takes the result
-    out = q
-    if qc.size:
-        r = qc * qc
-        np.subtract(0.180625, r, out=r)
-        x = _poly(_PPND_A, r)
-        x *= qc
-        x /= _poly(_PPND_B, r)
-        out[central] = x
-    if qt.size:
-        lower = qt < 0.0
-        r = np.where(lower, ut, 1.0 - ut)
+    r = q * q
+    np.subtract(0.180625, r, out=r)
+    ab = _horner(_PPND_AB, r)
+    # q takes the result: q * a / b, as (a * q) / b
+    q *= ab[0]
+    q /= ab[1]
+    if tail.size:
+        ut = np.take(u, tail)
+        r = np.where(qt < 0.0, ut, 1.0 - ut)
         np.log(r, out=r)
         np.negative(r, out=r)
         np.sqrt(r, out=r)
-        near = r <= 5.0
-        x = np.empty_like(r)
-        if near.any():
-            rn = r[near]
-            rn -= 1.6
-            xn = _poly(_PPND_C, rn)
-            xn /= _poly(_PPND_D, rn)
-            x[near] = xn
-        far = ~near
-        if far.any():
-            rf = r[far]
+        # the near branch on every tail element; its denominator is at
+        # least 1 there, since r > 1.6 whenever |q| > 0.425
+        far = r > 5.0
+        rf = r[far] if far.any() else None
+        r -= 1.6
+        x = _horner(_PPND_CD, r)
+        xt = x[0]
+        xt /= x[1]
+        if rf is not None:
             rf -= 5.0
-            xf = _poly(_PPND_E, rf)
-            xf /= _poly(_PPND_F, rf)
-            x[far] = xf
-        np.negative(x, out=x, where=lower)
-        out[tail] = x
-    return out
+            x = _horner(_PPND_EF, rf)
+            x[0] /= x[1]
+            xt[far] = x[0]
+        # both tail branches are positive (positive coefficients at r - 1.6
+        # > 0 and r - 5 > 0), so taking q's sign negates the lower tail
+        np.copysign(xt, qt, out=xt)
+        q[tail] = xt
+    return q.reshape(shape)
 
 
 # --- deterministic random streams --------------------------------------------
@@ -431,6 +445,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_GOLDEN_U64 = np.uint64(_GOLDEN)
+_BELOW_ONE = 1.0 - 2.0**-53  # the largest double below 1
 
 
 def _mix(x: int) -> int:
@@ -462,25 +478,28 @@ def _stream_words(bases, counters, offsets) -> np.ndarray:
     The word kernel of every stream: word i of the stream with key base is
     ``mix(base + i * GOLDEN)``. The three uint64 arguments broadcast
     together, so one call serves one stream (scalar base and counter) or
-    many (one base and counter per stream, gathered per word). The words
-    are formed in place in ``counters + offsets``, which must already have
-    the result's shape.
+    many (one base and counter per stream, gathered per word). Each
+    stream's start ``base + counter * GOLDEN`` is formed once and each
+    offset's step ``offset * GOLDEN`` once, and the words are their sum:
+    the same value modulo 2**64. The scalar steps go through the ufuncs,
+    because numpy scalars flag the wraparound that arrays do not.
     """
-    words = counters + offsets
-    words *= np.uint64(_GOLDEN)
-    words += bases
-    return _mix_np(words)
+    start = np.add(np.multiply(counters, _GOLDEN_U64), bases)
+    return _mix_np(np.add(np.multiply(offsets, _GOLDEN_U64), start))
 
 
 def _open_unit(words: np.ndarray) -> np.ndarray:
     """Doubles strictly inside (0, 1) from the top 53 bits of each word.
 
-    Consumes `words`, a fresh array of the caller's.
+    Consumes `words`, a fresh array of the caller's. The top word's
+    (2**53 - 1) + 1/2 rounds up to 2**53, so it is clamped to the largest
+    double below 1.
     """
     words >>= np.uint64(11)
     u = words.astype(np.float64)
     u += 0.5
     u *= 2.0**-53
+    np.minimum(u, _BELOW_ONE, out=u)
     return u
 
 
@@ -551,7 +570,7 @@ class RandomStream:
 
     def uniform_open(self) -> float:
         """One double strictly inside (0, 1); safe under log()."""
-        return ((self._next_u64() >> 11) + 0.5) * 2.0**-53
+        return min(((self._next_u64() >> 11) + 0.5) * 2.0**-53, _BELOW_ONE)
 
     def std_normal(self) -> float:
         return float(self.std_normals(1)[0])

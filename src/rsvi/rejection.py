@@ -367,8 +367,10 @@ def _rejection_rounds(eff_shapes: np.ndarray, streams: StreamBatch, reps: int = 
             eps, trials = e.reshape(-1), np.ones(e.size, dtype=np.int64)
             active = np.flatnonzero(~accept)
         else:
-            trials[active] += 1
-            eps[active[accept]] = e[accept]
+            # an element's trials are the round that accepts it
+            done = active[accept]
+            trials[done] = rounds
+            eps[done] = e[accept]
             active = active[~accept]
     n_rows = streams.size * reps
     return eps.reshape(n_rows, k), trials.reshape(n_rows, k)

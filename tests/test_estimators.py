@@ -17,7 +17,15 @@ from rsvi.estimators import (
 )
 from rsvi.exceptions import ContractError, DomainError
 from rsvi.mathcore import RandomStream, finite_diff_grad, trigamma
-from rsvi.models import LatentBlock, ModelSpec, conjugate_elbo_exact, conjugate_exact_elbo_grad
+from rsvi.models import (
+    LatentBlock,
+    ModelSpec,
+    SparseGammaDEF,
+    conjugate_elbo_exact,
+    conjugate_exact_elbo_grad,
+    def_model_spec,
+    make_synthetic_def_data,
+)
 from rsvi.rejection import log_ratio_q_over_r
 
 
@@ -377,6 +385,49 @@ class TestElbo:
         from rsvi.distributions import dirichlet_entropy
 
         assert ThetaState(conj5_spec, theta5).entropy == pytest.approx(dirichlet_entropy(q5), rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_model_runs_on_chunks_of_rows(self):
+        # the (10,5) DEF has 1000 latents, so 25 draws are 4 chunks of
+        # _CHUNK_DRAWS // 1000 = 8 rows, and the ELBO equals one 25-row call
+        counts, _ = make_synthetic_def_data((10, 5), 50, 20, RandomStream(0, 977))
+        spec = def_model_spec(SparseGammaDEF((10, 5), counts))
+        calls = []
+
+        def recorded(lz):
+            calls.append(lz.shape[0])
+            return spec.log_joint_batch(lz)
+
+        chunked = ModelSpec(spec.latent_layout, recorded, spec.grad_latents_batch)
+        theta0 = default_theta_init(spec)
+        theta = theta0 * np.linspace(0.6, 1.8, theta0.size)
+        for seed in range(3):
+            got = estimate_elbo(chunked, theta, 25, RandomStream(seed, 5))
+            stream = RandomStream(seed, 5)
+            state = ThetaState(spec, theta)
+            lz = estimators._log_latents(state, [bank.draw_batch(stream, 25).log_z for bank in state.banks(0)])
+            assert got == float(np.mean(spec.log_joint_batch(lz))) + state.entropy
+            assert calls[-4:] == [8, 8, 8, 1]
+
+
+@pytest.mark.filterwarnings("error")
+def test_log_simplex_is_the_fold_along_each_row():
+    rng = np.random.default_rng(20170211)
+    for _ in range(300):
+        rows, k = int(rng.integers(1, 301)), int(rng.integers(1, 141))
+        spread = float(rng.choice([1e-3, 1.0, 30.0, 700.0]))
+        log_z = rng.uniform(-spread, spread, size=(rows, k))
+        if k > 1 and rng.random() < 0.3:
+            # ties, and -inf entries in rows that keep a finite one
+            log_z[:, 1] = log_z[:, 0]
+            cut = rng.random(size=(rows, k)) < 0.2
+            cut[:, 0] = False
+            log_z[cut] = -np.inf
+        want = log_z - np.logaddexp.reduce(log_z, axis=-1, keepdims=True)
+        assert np.array_equal(estimators._log_simplex(log_z), want)
+        out = np.zeros((rows, k + 3))
+        estimators._log_simplex(log_z, out=out[:, 2 : 2 + k])
+        assert np.array_equal(out[:, 2 : 2 + k], want)
 
 
 class TestThetaState:

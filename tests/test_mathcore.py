@@ -130,7 +130,7 @@ def _shift_loop_reference(x):
 
 
 class TestSharedSpecialKernel:
-    @pytest.mark.parametrize("case", ["small", "wide", "near-integers", "single", "matrix"])
+    @pytest.mark.parametrize("case", ["small", "wide", "near-integers", "single", "matrix", "grid"])
     def test_bit_identical_to_separate_loops(self, case):
         rng = np.random.default_rng(17)
         x = {
@@ -139,6 +139,7 @@ class TestSharedSpecialKernel:
             "near-integers": np.nextafter(rng.integers(1, 13, 300).astype(float), 0.0),
             "single": np.array([0.37]),
             "matrix": rng.uniform(0.01, 5.0, (6, 7)),
+            "grid": np.geomspace(2e-9, 3000.0, 1531),
         }[case]
         with np.errstate(divide="ignore", over="ignore"):
             got = _gamma_fns(x, lgamma=True, psi=True, psi1=True)
@@ -276,10 +277,29 @@ def _open_unit_out_of_place(words):
     return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
+# one input of each branch of the normal quantile: central, near tail
+# below and above the centre, far tail below and above
+QUANTILE_BRANCHES = {
+    "central": [0.5, 0.0751, 0.9249, 0.3, 0.61],
+    "near-lower": [0.0749, 1e-3, 1e-6, 1e-10, 2e-11],
+    "near-upper": [0.9251, 1 - 1e-3, 1 - 1e-6, 1 - 1e-10, 1 - 2e-11],
+    "far-lower": [1e-11, 1e-20, 1e-100, 1e-300, 2.0**-54],
+    "far-upper": [1 - 1e-12, 1 - 1e-14, 1 - 1e-15, 1 - 1e-16, 1 - 2.0**-53],
+}
+
+
+@pytest.mark.filterwarnings("error")
 class TestInPlaceKernels:
     """The stream and normal-quantile kernels work in place on the arrays
     they create; each must equal its one-array-per-operation form bit for
     bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    @pytest.mark.parametrize("branch", sorted(QUANTILE_BRANCHES))
+    def test_normal_quantile_small_inputs(self, branch, n):
+        u = np.array(QUANTILE_BRANCHES[branch][:n], dtype=float)
+        got = _ppnd_array(u)
+        assert got.shape == u.shape and np.array_equal(got, _ppnd_out_of_place(u))
 
     def test_normal_quantile(self):
         u = RandomStream(3, 7).uniforms_open(10**5 - 400)
@@ -307,15 +327,35 @@ class TestInPlaceKernels:
         counters = np.arange(50, dtype=np.uint64) * np.uint64(7)
         owner = np.repeat(np.arange(50), 40)
         per_word = np.stack([offsets[: owner.size], offsets[: owner.size] + np.uint64(3)])
+        near_top = np.uint64(2**64 - 1) - counters * np.uint64(97)
         cases = [
             (base, counter, offsets),
             (bases[:, None], counters[:, None], offsets[:2000]),
             (bases[owner], counters[owner], per_word),
+            (bases[:, None], near_top[:, None], offsets[:2000]),
+            (bases[owner], near_top[owner], per_word),
         ]
         for b, c, o in cases:
             want = _stream_words_out_of_place(b, c, o)
             assert np.array_equal(mathcore._stream_words(b, c, o), want)
             assert np.array_equal(mathcore._open_unit(mathcore._stream_words(b, c, o)), _open_unit_out_of_place(want))
+        # a lone stream's block across the end of its counter range
+        stream = RandomStream(3, 9)
+        stream._counter = 2**64 - 10
+        want = _stream_words_out_of_place(np.uint64(stream._base), np.uint64(stream._counter), offsets[:20])
+        assert np.array_equal(stream._next_u64_block(20), want)
+
+    def test_top_word_uniform_is_below_one(self, monkeypatch):
+        # (2**53 - 1) + 1/2 rounds to 2**53, so the unclamped top word gives 1.0
+        top = np.uint64(2**64 - 1)
+        words = top - np.array([0, 2**11, 2**12, 2**64 - 1], dtype=np.uint64)
+        u = mathcore._open_unit(words.copy())
+        assert u[0] == 1.0 - 2.0**-53 and _open_unit_out_of_place(words[:1])[0] == 1.0
+        assert np.array_equal(u[1:], _open_unit_out_of_place(words[1:]))
+        z = _ppnd_array(u)
+        assert np.isfinite(z).all() and z[0] > 8.0
+        monkeypatch.setattr(RandomStream, "_next_u64", lambda self: 2**64 - 1)
+        assert RandomStream(1).uniform_open() == 1.0 - 2.0**-53
 
 
 class TestRandomStream:
