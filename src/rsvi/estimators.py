@@ -276,7 +276,9 @@ def _glr_psi(eps, alpha, psi_alpha, s, y, h, ha):
     out -= psi_alpha
     out += 0.5 / d
     np.multiply(y, 9.0 * alpha - 3.0, out=t)
-    t *= s
+    # above a shape of about 3.5e204 the product is inf, and the term 0
+    with np.errstate(over="ignore"):
+        t *= s
     out -= np.divide(np.multiply(eps, 9.0), t, out=t)
     return out
 
@@ -369,8 +371,7 @@ def _reparam_terms(state, banks, draws, lz, f, gf, weight=None):
         pb = bs.pb
         g_block, lz_block = gf[:, pb.latent_slice], lz[:, pb.latent_slice]
         shape_part = slice(pb.theta_slice.start, pb.theta_slice.start + pb.dim)
-        alpha = bank.eff_shapes[None]
-        s = np.sqrt(9.0 * alpha - 3.0)
+        alpha, s = bank.eff_shapes[None], bank.cube_scale[None]
         y = eps / s
         y += 1.0
         ha = _dh_dalpha(eps, s, y)
@@ -432,15 +433,14 @@ def _draw_importance(state, banks, rows):
     valid = np.ones(n_rows, dtype=bool)
     for bank in banks:
         eps = rows.std_normals(bank.size)
-        eff = bank.eff_shapes
-        y = 1.0 + eps / np.sqrt(9.0 * eff - 3.0)
+        y = 1.0 + eps / bank.cube_scale
         inside = y > 0.0
         valid &= inside.all(axis=1)
         y = np.where(inside, y, 1.0)
         aug_u = rows.uniforms_open(bank.max_b * bank.size).reshape(n_rows, bank.max_b, bank.size)
         h, aug_dsum, log_z = _draw_tail(bank, y, aug_u)
         # rows past the boundary accumulate a finite value that is never used
-        log_w += _log_ratio(eps, y, eff, bank.log_M).sum(axis=1)
+        log_w += _log_ratio(eps, y, bank.eff_shapes, bank.log_M).sum(axis=1)
         draws.append((eps, h, aug_dsum))
         log_zs.append(log_z)
     g_rep = np.zeros((n_rows, state.n_params))
@@ -511,11 +511,7 @@ def estimate(
     the same result.
     """
     state = _state_for(model, theta, state)
-    rows = StreamBatch.of((stream,))
-    try:
-        g_rep, g_cor, total, trials = _estimate_rows(cfg, state, state.banks(cfg.aug_b), rows)
-    finally:
-        rows.sync()
+    g_rep, g_cor, total, trials = _estimate_rows(cfg, state, state.banks(cfg.aug_b), stream._row)
     return GradientEstimate(
         g_rep=g_rep[0],
         g_cor=g_cor[0],

@@ -519,11 +519,15 @@ class RandomStream:
     one output word per normal, so batch and repeated scalar draws agree
     element for element.
 
+    The stream owns its position: ``_row``, a one-row :class:`StreamBatch`
+    whose uint64 counter wraps modulo 2**64. Every draw from the stream,
+    scalar, block, sampler or estimator, advances that row in place.
+
     A stream is single-owner; fan-out derives child streams via
     :meth:`child` before parallel work.
     """
 
-    __slots__ = ("seed", "stream_id", "_base", "_counter")
+    __slots__ = ("seed", "stream_id", "_base", "_row")
 
     def __init__(self, seed: int, stream_id: int = 0):
         seed = int(seed)
@@ -533,17 +537,14 @@ class RandomStream:
         self.seed = seed
         self.stream_id = stream_id
         self._base = _mix(_mix(seed) ^ _mix(stream_id ^ _GOLDEN))
-        self._counter = 0
+        self._row = StreamBatch([self._base], [0])
 
     def __repr__(self):
-        return (
-            f"RandomStream(seed={self.seed}, stream_id={self.stream_id}, "
-            f"counter={self._counter})"
-        )
+        return f"RandomStream(seed={self.seed}, stream_id={self.stream_id}, counter={self.counter})"
 
     @property
     def counter(self) -> int:
-        return self._counter
+        return int(self._row.counters[0])
 
     def child(self, index: int) -> "RandomStream":
         """Derive an independent substream; ``index`` selects which one."""
@@ -554,15 +555,9 @@ class RandomStream:
         return RandomStream(self.seed, derived)
 
     def _next_u64(self) -> int:
-        self._counter += 1
-        return _mix((self._base + self._counter * _GOLDEN) & _MASK64)
-
-    def _next_u64_block(self, n: int) -> np.ndarray:
-        words = _stream_words(
-            np.uint64(self._base), np.uint64(self._counter), np.arange(1, n + 1, dtype=np.uint64)
-        )
-        self._counter += n
-        return words
+        counter = (int(self._row.counters[0]) + 1) & _MASK64
+        self._row.counters[0] = counter
+        return _mix((self._base + counter * _GOLDEN) & _MASK64)
 
     def uniform(self) -> float:
         """One double in [0, 1) with 53 random bits."""
@@ -576,40 +571,34 @@ class RandomStream:
         return float(self.std_normals(1)[0])
 
     def uniforms(self, n: int) -> np.ndarray:
-        return (self._next_u64_block(int(n)) >> np.uint64(11)) * 2.0**-53
+        return (self._row._words(n)[0] >> np.uint64(11)) * 2.0**-53
 
     def uniforms_open(self, n: int) -> np.ndarray:
-        return _open_unit(self._next_u64_block(int(n)))
+        return self._row.uniforms_open(n)[0]
 
     def std_normals(self, n: int) -> np.ndarray:
         return _ppnd_array(self.uniforms_open(n))
 
 
 class StreamBatch:
-    """Several :class:`RandomStream` positions advanced together.
+    """Several stream positions advanced together.
 
     Row s of every block is exactly what the same call on stream s alone
     would return, and each stream's counter moves as it would alone, so a
     batch of streams reproduces a loop over them word for word. The
-    streams' keys and counters live in uint64 arrays; ``bases[s]`` and
+    streams' keys and counters live in uint64 arrays, and every draw
+    advances ``counters`` in place, modulo 2**64; ``bases[s]`` and
     ``counters[s]`` may be gathered per word for ragged draws, where
-    stream s takes its own number of words (see ``_stream_words``).
-    :meth:`sync` writes the counters back to the RandomStream objects the
-    batch was made from.
+    stream s takes its own number of words (see ``_stream_words``). A
+    :class:`RandomStream` owns a one-row batch and draws through it, so a
+    draw from that row is a draw from the stream: nothing is copied back.
     """
 
-    __slots__ = ("bases", "counters", "_streams")
+    __slots__ = ("bases", "counters")
 
-    def __init__(self, bases, counters, streams=()):
+    def __init__(self, bases, counters):
         self.bases = np.asarray(bases, dtype=np.uint64)
         self.counters = np.array(counters, dtype=np.uint64)
-        self._streams = tuple(streams)
-
-    @classmethod
-    def of(cls, streams) -> "StreamBatch":
-        """A batch over existing streams, starting at their counters."""
-        streams = tuple(streams)
-        return cls([s._base for s in streams], [s._counter for s in streams], streams)
 
     @classmethod
     def children(cls, stream: RandomStream, start: int, stop: int) -> "StreamBatch":
@@ -629,21 +618,19 @@ class StreamBatch:
     def size(self) -> int:
         return self.bases.size
 
+    def _words(self, n: int) -> np.ndarray:
+        """The next n output words of every stream: (size, n)."""
+        n = int(n)
+        words = _stream_words(self.bases[:, None], self.counters[:, None], np.arange(1, n + 1, dtype=np.uint64))
+        self.counters += np.uint64(n)
+        return words
+
     def uniforms_open(self, n: int) -> np.ndarray:
         """The next n open-interval uniforms of every stream: (size, n)."""
-        n = int(n)
-        offsets = np.arange(1, n + 1, dtype=np.uint64)
-        words = _stream_words(self.bases[:, None], self.counters[:, None], offsets)
-        self.counters += np.uint64(n)
-        return _open_unit(words)
+        return _open_unit(self._words(n))
 
     def std_normals(self, n: int) -> np.ndarray:
         return _ppnd_array(self.uniforms_open(n))
-
-    def sync(self) -> None:
-        """Write the counters back to the streams the batch was made from."""
-        for stream, counter in zip(self._streams, self.counters.tolist()):
-            stream._counter = counter
 
 
 # --- finite differences -------------------------------------------------------

@@ -174,19 +174,22 @@ class SamplerBank:
     every still-active element, then augmentation draws `max_b` rows of
     uniforms for all elements (rows past an element's own step count are
     discarded), so draws are deterministic for a given stream. `draw` and
-    `draw_batch` are the one-stream case of `draw_streams`, which draws
-    from many streams at once with that layout on each.
+    `draw_batch` run `draw_streams`' layout on the stream's own one-row
+    `StreamBatch`, which they advance in place, also when they raise.
 
-    `log_M` (the envelope constants) and `psi_eff` (digamma of the
-    effective shapes) are computed on first use: the importance estimator
-    reads the first, the correction term the second, and a bank that only
-    draws reads neither.
+    `cube_scale`, sqrt(9 eff - 3) at each effective shape, is formed once
+    when the bank is built; the rejection rounds, the draws' cube and the
+    gradient terms read it. `log_M` (the envelope constants) and `psi_eff`
+    (digamma of the effective shapes) are computed on first use: the
+    importance estimator reads the first, the correction term the second,
+    and a bank that only draws reads neither.
     """
 
     shapes: np.ndarray
     rates: np.ndarray
     b_steps: np.ndarray
     eff_shapes: np.ndarray
+    cube_scale: np.ndarray
 
     @cached_property
     def log_M(self) -> np.ndarray:
@@ -205,12 +208,7 @@ class SamplerBank:
         return int(self.b_steps.max()) if self.size else 0
 
     def draw(self, stream: RandomStream) -> "BankDraw":
-        rows = StreamBatch.of((stream,))
-        try:
-            fields = _draw_rows(self, rows)
-        finally:
-            rows.sync()
-        return BankDraw(*(a[0] for a in fields))
+        return BankDraw(*(a[0] for a in _draw_rows(self, stream._row)))
 
     def draw_streams(self, streams: StreamBatch) -> "BankDraw":
         """One draw per element from each stream; every field gets a leading
@@ -226,12 +224,7 @@ class SamplerBank:
         n = int(n)
         if n < 0:
             raise DomainError("draw_batch needs n >= 0")
-        rows = StreamBatch.of((stream,))
-        try:
-            fields = _draw_rows(self, rows, reps=n)
-        finally:
-            rows.sync()
-        return BankDraw(*fields)
+        return BankDraw(*_draw_rows(self, stream._row, reps=n))
 
 
 def _draw_rows(bank: SamplerBank, streams: StreamBatch, reps: int = 1):
@@ -245,12 +238,12 @@ def _draw_rows(bank: SamplerBank, streams: StreamBatch, reps: int = 1):
     broadcast as (size,) rows against them.
     """
     k = bank.size
-    eps, trials = _rejection_rounds(bank.eff_shapes, streams, reps)
+    eps, trials = _rejection_rounds(bank, streams, reps)
     max_b = bank.max_b
     aug_u = streams.uniforms_open(max_b * reps * k).reshape(streams.size, max_b, reps, k)
     # (streams, reps, max_b, k): row j of the augmentation is aug_u[..., j, :]
     aug_u = aug_u.swapaxes(1, 2)
-    y = 1.0 + eps / np.sqrt(9.0 * bank.eff_shapes - 3.0)
+    y = 1.0 + eps / bank.cube_scale
     return (eps, *_draw_tail(bank, y, aug_u), trials)
 
 
@@ -319,20 +312,20 @@ def _augment(shapes: np.ndarray, b_steps: np.ndarray, aug_u: np.ndarray):
     return log_prod_u, aug_dsum
 
 
-def _rejection_rounds(eff_shapes: np.ndarray, streams: StreamBatch, reps: int = 1):
+def _rejection_rounds(bank: SamplerBank, streams: StreamBatch, reps: int = 1):
     """Vectorized propose/accept rounds; one accepted eps per element and stream.
 
-    Every stream owns reps rows of eff_shapes.size elements. A round takes
-    one block of 2m words from each stream with m active elements: the
-    first m give the proposals' normals and the last m the accept
-    uniforms, both in element order. A stream's words therefore do not
-    depend on the other streams. More than DEFAULT_TRIAL_BUDGET rounds
-    raise SamplerStallError. Returns (eps, trials), (streams * reps,
-    elements).
+    Every stream owns reps rows of the bank's elements, which propose at
+    their effective shapes. A round takes one block of 2m words from each
+    stream with m active elements: the first m give the proposals' normals
+    and the last m the accept uniforms, both in element order. A stream's
+    words therefore do not depend on the other streams. More than
+    DEFAULT_TRIAL_BUDGET rounds raise SamplerStallError. Returns (eps,
+    trials), (streams * reps, elements).
     """
+    eff_shapes, s = bank.eff_shapes, bank.cube_scale
     k = eff_shapes.size
     per_stream = reps * k
-    s = np.sqrt(9.0 * eff_shapes - 3.0)
     eps = np.empty(0)
     trials = np.zeros(0, dtype=np.int64)
     active = np.arange(streams.size * per_stream)
@@ -412,11 +405,13 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 def _build_bank(shapes: np.ndarray, rates: np.ndarray, B: int) -> SamplerBank:
     """A bank over checked positive, finite (k,) shapes and rates; B >= 0."""
     b_steps = np.maximum(B, (shapes < 1.0).astype(np.int64))
+    eff_shapes = shapes + b_steps
     return SamplerBank(
         shapes=_read_only(shapes),
         rates=_read_only(rates),
         b_steps=_read_only(b_steps),
-        eff_shapes=_read_only(shapes + b_steps),
+        eff_shapes=_read_only(eff_shapes),
+        cube_scale=_read_only(np.sqrt(9.0 * eff_shapes - 3.0)),
     )
 
 

@@ -129,6 +129,17 @@ class TestGradLogRatio:
     def test_vanishes_in_large_shape_limit(self):
         assert abs(grad_log_ratio_gamma(0.0, 1e6)) < 1e-4
 
+    @pytest.mark.filterwarnings("error")
+    def test_no_overflow_at_huge_shapes(self, conj5_spec):
+        # above about 3.5e204 the Jacobian term's denominator (y (9 alpha -
+        # 3)) s overflows, and the term is 0, its limit
+        for a in (1e204, 1e205, 1e250, 1e300, 1e305):
+            assert a * grad_log_ratio_gamma(0.5, a) == pytest.approx(0.5, rel=1e-12)
+        theta = np.array([1e250, 1.0, 1.0, 1.0, 1.0])
+        for kind, B in (("rsvi", 0), ("rsvi", 1), ("importance", 1)):
+            prof = variance_profile(conj5_spec, theta, EstimatorConfig(kind, aug_b=B), 50, RandomStream(7, 0))
+            assert np.isfinite(prof.means).all() and np.isfinite(prof.variances).all()
+
     def test_domain(self):
         with pytest.raises(DomainError):
             grad_log_ratio_gamma(0.0, 0.5)
@@ -338,6 +349,20 @@ class TestModelCallbacks:
         with pytest.raises(DomainError) as err:
             estimators._eval_model(spec, self.LZ)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("kind,counter", [("rsvi", 15), ("importance", 10), ("score_function", 15)])
+    def test_rejected_estimate_advances_its_stream(self, conj5_spec, kind, counter):
+        # a rejected estimate leaves its stream where its draws put it
+        theta = np.array([9.0, 6.0, 5.0, 3.0, 2.0])
+        cfg = EstimatorConfig(kind, aug_b=1)
+        rejecting = ModelSpec(
+            conj5_spec.latent_layout, lambda lz: np.full(len(lz), -math.inf), conj5_spec.grad_latents_batch
+        )
+        accepted, rejected = RandomStream(5, 1), RandomStream(5, 1)
+        estimate(conj5_spec, theta, cfg, accepted)
+        with pytest.raises(DomainError):
+            estimate(rejecting, theta, cfg, rejected)
+        assert rejected.counter == accepted.counter == counter
 
     def test_without_gradient_only_the_log_joint_is_checked(self):
         f, gf = estimators._eval_model(self._row_model((), {0.0, 1.0, 2.0}, 3), self.LZ, with_grad=False)

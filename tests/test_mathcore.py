@@ -341,9 +341,10 @@ class TestInPlaceKernels:
             assert np.array_equal(mathcore._open_unit(mathcore._stream_words(b, c, o)), _open_unit_out_of_place(want))
         # a lone stream's block across the end of its counter range
         stream = RandomStream(3, 9)
-        stream._counter = 2**64 - 10
-        want = _stream_words_out_of_place(np.uint64(stream._base), np.uint64(stream._counter), offsets[:20])
-        assert np.array_equal(stream._next_u64_block(20), want)
+        stream._row.counters[0] = 2**64 - 10
+        want = _stream_words_out_of_place(np.uint64(stream._base), np.uint64(2**64 - 10), offsets[:20])
+        assert np.array_equal(stream.uniforms_open(20), _open_unit_out_of_place(want))
+        assert stream.counter == 10
 
     def test_top_word_uniform_is_below_one(self, monkeypatch):
         # (2**53 - 1) + 1/2 rounds to 2**53, so the unclamped top word gives 1.0
@@ -402,7 +403,7 @@ class TestRandomStream:
         parent.uniforms(3)  # a parent's own counter does not reach its children
         kids = [parent.child(i) for i in range(4, 9)]
         kids[1].uniforms(7)
-        batch = StreamBatch.of(kids)
+        batch = StreamBatch([k._base for k in kids], [k.counter for k in kids])
         fresh = StreamBatch.children(parent, 4, 9)
         assert np.array_equal(fresh.bases, batch.bases)
         normals, uniforms = batch.std_normals(6), batch.uniforms_open(3)
@@ -410,8 +411,17 @@ class TestRandomStream:
         for g, kid in enumerate(kids):
             assert np.array_equal(normals[g], kid.std_normals(6))
             assert np.array_equal(uniforms[g], kid.uniforms_open(3))
-        batch.sync()
-        assert [k.counter for k in kids] == [9, 16, 9, 9, 9]
+        assert batch.counters.tolist() == [k.counter for k in kids] == [9, 16, 9, 9, 9]
+
+    def test_counter_wraps_past_the_end(self):
+        # blocks and scalars share one counter, which wraps modulo 2**64
+        stream = RandomStream(1, 2)
+        stream._row.counters[0] = 2**64 - 3
+        got = np.concatenate([stream.uniforms_open(5), stream.uniforms_open(2), [stream.uniform_open()]])
+        at = np.array([2**64 - 2, 2**64 - 1, 0, 1, 2, 3, 4, 5], dtype=np.uint64)
+        want = _stream_words_out_of_place(np.uint64(stream._base), np.uint64(0), at)
+        assert np.array_equal(got, _open_unit_out_of_place(want))
+        assert stream.counter == 5
 
     def test_open_uniforms_strictly_inside(self):
         u = RandomStream(2, 0).uniforms_open(10**5)
