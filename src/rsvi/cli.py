@@ -312,10 +312,9 @@ def cmd_sample(cfg: dict) -> int:
         if n:
             acc = n * k / int(batch.trials.sum())
             a0 = float(conc.sum())
-            worst = 0.0
-            for i in range(k):
-                stat, _ = _ks_report(z[:, i], lambda x, ai=conc[i]: reg_inc_beta(ai, a0 - ai, x))
-                worst = max(worst, stat)
+            # np.max, not max(): a NaN marginal makes the worst statistic NaN
+            stats = [_ks_report(z[:, i], lambda x, ai=ai: reg_inc_beta(ai, a0 - ai, x))[0] for i, ai in enumerate(conc)]
+            worst = float(np.max(stats))
             pvalue = kolmogorov_sf(math.sqrt(n) * worst)
             summary = f"# summary: draws={n} acceptance={acc!r} ks={worst!r} ks_pvalue={pvalue!r}"
         else:

@@ -88,11 +88,16 @@ def _gamma_entropy(shapes, rates, lg_shapes, psi_shapes):
     return shapes - np.log(rates) + lg_shapes + (1.0 - shapes) * psi_shapes
 
 
+def _gamma_entropy_dshape(shapes, psi1_shapes):
+    """dH/dshape at fixed rate, 1 + (1 - shape) psi'(shape), elementwise."""
+    return 1.0 + (1.0 - shapes) * psi1_shapes
+
+
 def _gamma_entropy_grad_mean_shape(shapes, means, psi1_shapes):
     """(dH/dshape, dH/dmean) of the mean-shape gamma, elementwise, given
     psi'(shape). With rate = shape/mean the rate path contributes -1/shape
     to the shape component and +1/mean to the mean component."""
-    return 1.0 + (1.0 - shapes) * psi1_shapes - 1.0 / shapes, 1.0 / means
+    return _gamma_entropy_dshape(shapes, psi1_shapes) - 1.0 / shapes, 1.0 / means
 
 
 def gamma_entropy(p: GammaParams) -> float:
@@ -103,8 +108,7 @@ def gamma_entropy(p: GammaParams) -> float:
 
 def gamma_entropy_grad(p: GammaParams) -> tuple[float, float]:
     """(dH/dshape, dH/drate) = (1 + (1 - shape) psi'(shape), -1/rate)."""
-    a, b = p.shape, p.rate
-    return 1.0 + (1.0 - a) * trigamma(a), -1.0 / b
+    return _gamma_entropy_dshape(p.shape, trigamma(p.shape)), -1.0 / p.rate
 
 
 def gamma_entropy_grad_mean_shape(p: GammaMeanShapeParams) -> tuple[float, float]:

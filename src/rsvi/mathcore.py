@@ -167,12 +167,61 @@ def trigamma(x):
     return _scalar_or_array(np.ndim(x) == 0, _gamma_fns(x, psi1=True)[2])
 
 
+# Series terms and Lentz steps allowed per element at shape a. Within 8 sd
+# of the gamma mean P takes about 8 sqrt(a) of them and I_x(a, b) about
+# sqrt(max(a, b)), so 20 sqrt(a) + 200 leaves a margin; no call runs more
+# than _MAX_STEPS, and an element unconverged there is NaN.
+_MAX_STEPS = 100_000
+_TINY = 1e-300  # stands in for a zero Lentz denominator
+
+
+def _step_cap(shape: float) -> int:
+    return int(min(_MAX_STEPS, 20.0 * math.sqrt(shape) + 200.0))
+
+
+def _converge(step, state, cap: int) -> np.ndarray:
+    """Run state, value, done = step(j, state) for j = 1..cap over the arrays
+    in `state`. Each element leaves with its value at its first `done`, so it
+    gets what a one-element call gives; one never done is NaN."""
+    out = np.full(state[0].shape, np.nan)
+    live = np.arange(out.size)
+    for j in range(1, cap + 1):
+        if not live.size:
+            break
+        state, value, done = step(j, state)
+        if done.any():
+            out[live[done]] = value[done]
+            live, state = live[~done], [s[~done] for s in state]
+    return out
+
+
+def _lentz(x: np.ndarray, d: np.ndarray, terms, cap: int) -> np.ndarray:
+    """Continued fraction 1/(b_0 + a_1/(b_1 + a_2/(b_2 + ...))) elementwise by
+    the modified Lentz method (Thompson & Barnett 1986), given d = 1/b_0 and
+    (a_j, b_j) = terms(j, x). An element stops at |delta - 1| < 1e-16."""
+
+    def step(j, state):
+        x, d, c, h = state
+        an, bn = terms(j, x)
+        d = an * d + bn
+        d = 1.0 / np.where(np.abs(d) < _TINY, _TINY, d)
+        c = bn + an / c
+        c = np.where(np.abs(c) < _TINY, _TINY, c)
+        delta = d * c
+        h = h * delta
+        return (x, d, c, h), h, np.abs(delta - 1.0) < 1e-16
+
+    return _converge(step, (x, d, np.full(x.shape, 1.0 / _TINY), d), cap)
+
+
 def reg_lower_gamma(a: float, x):
     """Regularized lower incomplete gamma P(a, x) = gamma(a, x) / Gamma(a).
 
     x is a scalar or an array, taken elementwise; ln Gamma(a) is formed
-    once per call. Power series for x < a+1, Lentz continued fraction
-    otherwise (the classic P/Q split; both converge fast in their half).
+    once per call. The power series runs for x < a+1 and the continued
+    fraction of Q = 1 - P elsewhere (Numerical Recipes 6.2), each over its
+    whole half of x at once. A value unconverged within _step_cap(a) steps
+    is NaN.
     """
     a = float(a)
     if not (math.isfinite(a) and a > 0.0):
@@ -180,124 +229,76 @@ def reg_lower_gamma(a: float, x):
     xs = np.asarray(x, dtype=float)
     if not (np.isfinite(xs).all() and (xs >= 0.0).all()):
         raise DomainError(f"reg_lower_gamma requires x >= 0, got {x!r}")
-    lg = float(_gamma_fns(a, lgamma=True)[0])
-    out = np.array([_lower_gamma_at(a, v, lg) for v in xs.ravel().tolist()]).reshape(xs.shape)
+    cap = _step_cap(a)
+    out = np.zeros(xs.shape)
+    v = xs[xs > 0.0]
+    front = np.exp(-v + a * np.log(v) - float(_gamma_fns(a, lgamma=True)[0]))
+    series = v < a + 1.0
+
+    def term(j, state):
+        # sum_n x^n / (a (a+1) ... (a+n)), until a term falls below 1e-17 of the total
+        x, t, total = state
+        t = t * (x / (a + j))
+        total = total + t
+        return (x, t, total), total, np.abs(t) < np.abs(total) * 1e-17
+
+    p = np.empty_like(v)
+    first = np.full(np.count_nonzero(series), 1.0 / a)
+    p[series] = np.minimum(1.0, _converge(term, (v[series], first, first), cap) * front[series])
+    b0 = v[~series] + 1.0 - a
+    q = front[~series] * _lentz(b0, 1.0 / b0, lambda j, b: (-j * (j - a), b + 2.0 * j), cap)
+    p[~series] = np.maximum(0.0, 1.0 - q)
+    out[xs > 0.0] = p
     return _scalar_or_array(np.ndim(x) == 0, out)
-
-
-def _lower_gamma_at(a: float, x: float, lg: float) -> float:
-    """P(a, x) at one x >= 0, given lg = ln Gamma(a)."""
-    if x == 0.0:
-        return 0.0
-    ln_front = -x + a * math.log(x) - lg
-    if x < a + 1.0:
-        ap = a
-        term = 1.0 / a
-        total = term
-        for _ in range(1000):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) < abs(total) * 1e-17:
-                break
-        return min(1.0, total * math.exp(ln_front))
-    # continued fraction for Q(a, x)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    q = math.exp(ln_front) * h
-    return max(0.0, 1.0 - q)
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    tiny = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 500):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h
 
 
 def reg_inc_beta(a: float, b: float, x):
     """Regularized incomplete beta I_x(a, b) by continued fraction.
 
     x is a scalar or an array, taken elementwise; the ln Gamma terms are
-    formed once per call.
+    formed once per call. The fraction for I_x(a, b) runs below
+    x = (a+1)/(a+b+2), and the one for 1 - I_{1-x}(b, a) above it (Numerical
+    Recipes 6.4), each over its whole half of x at once. A value
+    unconverged within _step_cap(max(a, b)) steps is NaN.
     """
-    a = float(a)
-    b = float(b)
+    a, b = float(a), float(b)
     if not (a > 0.0 and b > 0.0 and math.isfinite(a) and math.isfinite(b)):
         raise DomainError(f"reg_inc_beta requires a, b > 0, got {a!r}, {b!r}")
     xs = np.asarray(x, dtype=float)
     if not ((xs >= 0.0) & (xs <= 1.0)).all():
         raise DomainError(f"reg_inc_beta requires x in [0, 1], got {x!r}")
     lg_ab, lg_a, lg_b = _gamma_fns(np.array([a + b, a, b]), lgamma=True)[0].tolist()
-    lg_ratio = lg_ab - lg_a - lg_b
-    out = np.array([_inc_beta_at(a, b, v, lg_ratio) for v in xs.ravel().tolist()]).reshape(xs.shape)
+    cap = _step_cap(max(a, b))
+    out = np.zeros(xs.shape)
+    out[xs == 1.0] = 1.0
+    inner = (xs > 0.0) & (xs < 1.0)
+    v = xs[inner]
+    front = np.exp(lg_ab - lg_a - lg_b + a * np.log(v) + b * np.log1p(-v))
+    lower = v < (a + 1.0) / (a + b + 2.0)
+    for side, p, q, y in ((lower, a, b, v), (~lower, b, a, 1.0 - v)):
+
+        def terms(j, y, p=p, q=q):
+            # a_j = d_j (d_2m at even j, d_(2m+1) at odd j) and b_j = 1; d_1 takes
+            # the fewest roundings, because 1 + d_1 can cancel to 2 / (a + b + 2)
+            m = j // 2
+            if j == 1:
+                return -((p + q) * y / (p + 1.0)), 1.0
+            if j % 2 == 0:
+                return m * (q - m) * y / ((p - 1.0 + j) * (p + j)), 1.0
+            return -(p + m) * (p + q + m) * y / ((p + (j - 1)) * (p + 1.0 + (j - 1))), 1.0
+
+        y = y[side]
+        # I_x(a, b) on the lower side, 1 - I_x(a, b) on the upper
+        front[side] = front[side] * _lentz(y, np.ones_like(y), terms, cap) / p
+    out[inner] = np.where(lower, front, 1.0 - front)
     return _scalar_or_array(np.ndim(x) == 0, out)
 
 
-def _inc_beta_at(a: float, b: float, x: float, lg_ratio: float) -> float:
-    """I_x(a, b) at one x in [0, 1], given ln Gamma(a+b) - ln Gamma(a) - ln Gamma(b)."""
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = lg_ratio + a * math.log(x) + b * math.log1p(-x)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return math.exp(ln_front) * _betacf(a, b, x) / a
-    return 1.0 - math.exp(ln_front) * _betacf(b, a, 1.0 - x) / b
-
-
 def kolmogorov_sf(t: float) -> float:
-    """Survival function of the Kolmogorov distribution, Q(t) = P(K > t)."""
+    """Survival function of the Kolmogorov distribution, Q(t) = P(K > t), NaN at NaN."""
     t = float(t)
-    if t <= 0.0:
-        return 1.0
+    if not t > 0.0:
+        return t if math.isnan(t) else 1.0
     total = 0.0
     for j in range(1, 101):
         term = math.exp(-2.0 * j * j * t * t)

@@ -167,15 +167,10 @@ class ConjugateModel:
 
     def log_marginal_likelihood(self) -> float:
         """ln p(x) of the multinomial-Dirichlet (closed form)."""
-        a0 = float(self.prior.sum())
-        n = self.n_trials
         return (
-            log_gamma_fn(n + 1.0)
-            - float(np.sum(log_gamma_fn(self.counts + 1.0)))
-            + log_gamma_fn(a0)
-            - log_gamma_fn(a0 + n)
+            _conjugate_const(self)
             + float(np.sum(log_gamma_fn(self.prior + self.counts)))
-            - float(np.sum(log_gamma_fn(self.prior)))
+            - log_gamma_fn(float(self.prior.sum()) + self.n_trials)
         )
 
 

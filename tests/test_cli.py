@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rsvi import cli
+from rsvi import cli, mathcore
 from rsvi.exceptions import DomainError, OptimizerAbortError, SamplerStallError
 from rsvi.models import ModelSpec
 from rsvi.rejection import _log_m_at_mode
@@ -88,6 +89,39 @@ class TestSample:
             "--n-draws", "500", "--seed", "1", "--out", str(out),
         ) == 0
         assert "nan" not in out.read_text()
+
+    def test_large_shape_ks_is_the_reference_statistic(self, tmp_path):
+        # at shape 1e6 the reference CDF needs about 8000 Lentz and series
+        # steps; the statistic depends only on the CSV's z column
+        from scipy import special, stats
+
+        out = tmp_path / "big.csv"
+        assert run_cli("sample", "--alpha", "1e6", "--n-draws", "2000", "--seed", "4", "--out", str(out)) == 0
+        lines = out.read_text().splitlines()
+        z = np.array([float(line.split(",")[1]) for line in lines[2:-1]])
+        ref = stats.kstest(z, lambda v: special.gammainc(1e6, v)).statistic
+        assert abs(float(lines[-1].split("ks=")[1].split()[0]) - ref) <= 1e-9
+
+    def test_ks_report_carries_nan(self):
+        stat, pvalue = cli._ks_report(np.array([0.3, 0.1, 0.2]), lambda v: np.where(v == 0.2, np.nan, v))
+        assert math.isnan(stat) and math.isnan(pvalue)
+
+    def test_unconverged_cdf_prints_nan(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(mathcore, "_MAX_STEPS", 5)
+        out = tmp_path / "g.csv"
+        assert run_cli("sample", "--alpha", "50", "--n-draws", "100", "--seed", "1", "--out", str(out)) == 0
+        assert " ks=nan ks_pvalue=nan " in capsys.readouterr().out
+
+    def test_dirichlet_nan_marginal_is_not_dropped(self, tmp_path, monkeypatch, capsys):
+        def one_nan_marginal(a, b, x):
+            return np.full(np.shape(x), np.nan) if a == 2.0 else mathcore.reg_inc_beta(a, b, x)
+
+        monkeypatch.setattr(cli, "reg_inc_beta", one_nan_marginal)
+        out = tmp_path / "d.csv"
+        assert run_cli(
+            "sample", "--dist", "dirichlet", "--alpha", "1,2,3", "--n-draws", "100", "--seed", "1", "--out", str(out),
+        ) == 0
+        assert capsys.readouterr().out.rstrip().endswith(" ks=nan ks_pvalue=nan")
 
     def test_config_errors(self, tmp_path):
         assert run_cli("sample", "--alpha", "-2", "--out", str(tmp_path / "x.csv")) == 2
@@ -358,3 +392,17 @@ class TestFit:
         assert code == 4
         tail = json.loads((tmp_path / "abort.trace.jsonl").read_text().splitlines()[-1])
         assert tail["final"]["aborted"] == "boom"
+
+
+class TestContract:
+    def test_contract_script_writes_every_output(self, tmp_path):
+        # tools/contract.py is the bit-identity record of the CLI outputs; run
+        # it as its docstring says, from the checkout's root
+        root = Path(__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "tools/contract.py", str(tmp_path)], cwd=root, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(list(tmp_path.iterdir())) == 46
+        exits = list(tmp_path.glob("*.exit"))
+        assert len(exits) == 11 and all(path.read_text() == "0\n" for path in exits)

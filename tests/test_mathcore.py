@@ -200,9 +200,57 @@ class TestIncompleteFunctions:
         assert reg_lower_gamma(2.0, np.array([])).shape == (0,)
         assert type(reg_lower_gamma(2.0, 1.0)) is float and type(reg_inc_beta(2.0, 3.0, 0.5)) is float
 
+    # Both branches and both ends at shapes 1e-2 to 1e3. The tolerance is
+    # 1e-13 plus eps times `big`, the size of the terms that the front
+    # factor's logarithm sums and cancels: at a = 1e3 near x = a they are
+    # about 1.4e4, and their rounding, not the series or the fraction, leaves
+    # errors of a few 1e-13.
+    @pytest.mark.parametrize("a", np.geomspace(1e-2, 1e3, 11).tolist())
+    def test_reg_lower_gamma_grid(self, a):
+        x = np.array([
+            0.0, 1e-300, a * 1e-6, np.nextafter(a + 1.0, 0.0), a + 1.0, np.nextafter(a + 1.0, np.inf),
+            0.5 * a, 2.0 * a + 5.0, a + 40.0 * math.sqrt(a) + 40.0, 50.0 * a + 700.0,
+        ])
+        ref = special.gammainc(a, x)
+        with np.errstate(divide="ignore"):
+            big = x + a * np.abs(np.log(x)) + abs(special.gammaln(a))
+        big[0] = 0.0
+        assert np.all(np.abs(reg_lower_gamma(a, x) - ref) <= 1e-13 + np.finfo(float).eps * big)
+
+    @pytest.mark.parametrize("a", [0.01, 0.3, 2.0, 40.0, 1e3])
+    @pytest.mark.parametrize("b", [0.01, 1.0, 7.0, 1e3])
+    def test_reg_inc_beta_grid(self, a, b):
+        split = (a + 1.0) / (a + b + 2.0)
+        x = np.array([
+            0.0, 1.0, 1e-300, 1e-12, 1.0 - 1e-12, np.nextafter(split, 0.0), split, np.nextafter(split, 1.0),
+            0.5 * split, 0.5 + 0.5 * split,
+        ])
+        ref = special.betainc(a, b, x)
+        with np.errstate(divide="ignore"):
+            big = (abs(special.gammaln(a + b)) + abs(special.gammaln(a)) + abs(special.gammaln(b))
+                   + a * np.abs(np.log(x)) + b * np.abs(np.log1p(-x)))
+        big[:2] = 0.0
+        assert np.all(np.abs(reg_inc_beta(a, b, x) - ref) <= 1e-13 + np.finfo(float).eps * big)
+
+    @pytest.mark.parametrize("a", [1e5, 1e6])
+    def test_reg_lower_gamma_large_shapes(self, a):
+        # a fixed 1000-step cap would leave errors of 7.9e-4 at 1e5 and 0.16
+        # at 1e6 here
+        x = a + math.sqrt(a) * np.linspace(-6.0, 6.0, 61)
+        assert np.max(np.abs(reg_lower_gamma(a, x) - special.gammainc(a, x))) <= 1e-8
+
+    def test_unconverged_is_nan(self, monkeypatch):
+        monkeypatch.setattr(mathcore, "_MAX_STEPS", 5)
+        p = reg_lower_gamma(100.0, np.array([0.0, 95.0, 100.0, 110.0]))
+        assert p[0] == 0.0 and np.isnan(p[1:]).all()
+        i = reg_inc_beta(50.0, 50.0, np.array([0.0, 0.45, 0.55, 1.0]))
+        assert i[0] == 0.0 and i[3] == 1.0 and np.isnan(i[1:3]).all()
+
     def test_kolmogorov_sf(self):
         for t in [0.3, 0.5, 1.0, 1.5, 2.0]:
             assert kolmogorov_sf(t) == pytest.approx(special.kolmogorov(t), abs=1e-12)
+        assert kolmogorov_sf(0.0) == 1.0
+        assert math.isnan(kolmogorov_sf(math.nan))
 
     def test_domains(self):
         with pytest.raises(DomainError):
