@@ -30,6 +30,7 @@ from .distributions import (
 )
 from .engine import RunConfig, run_rsvi, softplus_inv, softplus_jacobian, trace_stability
 from .estimators import (
+    ESTIMATOR_KINDS,
     EstimatorConfig,
     ThetaState,
     _log_simplex,
@@ -39,7 +40,7 @@ from .estimators import (
     variance_profile,
 )
 from .exceptions import ContractError, DomainError, OptimizerAbortError, SamplerStallError
-from .mathcore import RandomStream, finite_diff_grad, kolmogorov_sf, reg_inc_beta, reg_lower_gamma
+from .mathcore import RandomStream, _rel_err, finite_diff_grad, kolmogorov_sf, reg_inc_beta, reg_lower_gamma
 from .models import (
     ConjugateModel,
     SparseGammaDEF,
@@ -74,18 +75,16 @@ class ConfigError(Exception):
 # name -> (parser, default, help). Parsers take the raw string.
 
 
-def _parse_floats(s):
-    vals = [float(v) for v in str(s).split(",") if v != ""]
-    if not vals:
-        raise ValueError("empty list")
-    return tuple(vals)
+def _parse_list(kind):
+    """A parser of a non-empty comma-separated list of `kind` values into a tuple."""
 
+    def parse(s):
+        vals = tuple(kind(v) for v in str(s).split(",") if v != "")
+        if not vals:
+            raise ValueError("empty list")
+        return vals
 
-def _parse_ints(s):
-    vals = [int(v) for v in str(s).split(",") if v != ""]
-    if not vals:
-        raise ValueError("empty list")
-    return tuple(vals)
+    return parse
 
 
 def _parse_bool(s):
@@ -100,16 +99,16 @@ def _parse_bool(s):
 _CHOICES = {
     "dist": ("gamma", "dirichlet"),
     "model": ("conjugate", "def"),
-    "estimator": ("rsvi", "score_function", "importance"),
+    "estimator": ESTIMATOR_KINDS,
     "format": ("auto", "bow", "csv"),
 }
 
 # the model options of gradcheck, variance and fit
 _MODEL_OPTIONS = {
     "model": (str, "conjugate", "model: conjugate, or def for the layered count model"),
-    "prior": (_parse_floats, (1.0, 1.0, 1.0, 1.0, 1.0), "conjugate prior concentrations"),
-    "counts": (_parse_ints, (8, 5, 4, 2, 1), "conjugate observed counts"),
-    "layers": (_parse_ints, (10, 5), "layer sizes for the layered count model"),
+    "prior": (_parse_list(float), (1.0, 1.0, 1.0, 1.0, 1.0), "conjugate prior concentrations"),
+    "counts": (_parse_list(int), (8, 5, 4, 2, 1), "conjugate observed counts"),
+    "layers": (_parse_list(int), (10, 5), "layer sizes for the layered count model"),
     "n-obs": (int, 8, "synthetic observations for the layered model"),
     "n-dim": (int, 6, "synthetic observation dimension"),
     "data-seed": (int, 0, "seed for the synthetic layered data"),
@@ -118,7 +117,7 @@ _MODEL_OPTIONS = {
 SCHEMAS = {
     "sample": {
         "dist": (str, "gamma", "distribution to sample (gamma or dirichlet)"),
-        "alpha": (_parse_floats, (2.0,), "shape (gamma) or comma-separated concentrations (dirichlet)"),
+        "alpha": (_parse_list(float), (2.0,), "shape (gamma) or comma-separated concentrations (dirichlet)"),
         "beta": (float, 1.0, "gamma rate"),
         "b": (int, 0, "shape augmentation steps"),
         "n-draws": (int, 100000, "number of accepted draws"),
@@ -132,9 +131,9 @@ SCHEMAS = {
     "variance": {
         **_MODEL_OPTIONS,
         "estimators": (str, "rsvi,score_function", "comma list of estimators"),
-        "b": (_parse_ints, (0, 1, 4), "augmentation steps per rsvi/importance row"),
+        "b": (_parse_list(int), (0, 1, 4), "augmentation steps per rsvi/importance row"),
         "g": (int, 1000, "replicates per variance estimate (>= 2)"),
-        "theta": (_parse_floats, None, "evaluation point (default: standard init)"),
+        "theta": (_parse_list(float), None, "evaluation point (default: standard init)"),
         "draws": (int, 1, "draws averaged per estimate"),
         "seed": (int, None, "random seed"),
         "out": (str, None, "output CSV path (required)"),
@@ -234,129 +233,95 @@ def _require_out(cfg: dict):
         raise ConfigError("--out is required")
 
 
-# --- KS helper ------------------------------------------------------------------
+# --- KS statistic and table writer ----------------------------------------------
 
 
-def _ks_statistic(sorted_values: np.ndarray, cdf_values: np.ndarray) -> float:
-    n = sorted_values.size
-    if n == 0:
-        return float("nan")
-    i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - cdf_values)
-    d_minus = np.max(cdf_values - (i - 1) / n)
-    return float(max(d_plus, d_minus))
-
-
-def _ks_report(values: np.ndarray, cdf) -> tuple[float, float]:
-    """KS statistic and p-value of `values` against `cdf`, which takes the
-    whole sorted sample at once."""
+def _ks_statistic(values: np.ndarray, cdf) -> float:
+    """KS statistic of `values` against `cdf`, which takes the whole sorted
+    sample at once; NaN if any CDF value is NaN."""
     v = np.sort(values)
-    stat = _ks_statistic(v, cdf(v))
-    pvalue = kolmogorov_sf(math.sqrt(v.size) * stat)
-    return stat, pvalue
+    c = cdf(v)
+    i = np.arange(1, v.size + 1)
+    return float(max(np.max(i / v.size - c), np.max(c - (i - 1) / v.size)))
+
+
+def _write_table(path: str, header: str, names: list, rows, summary: str | None = None):
+    """Write the config header, the column names, the rows and an optional
+    summary line. The csv module formats each cell: a float as its repr, an
+    int or a string as its str, and it ends each row with \\r\\n."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        writer.writerows(rows)
+        if summary is not None:
+            fh.write(summary + "\n")
 
 
 # --- subcommands ----------------------------------------------------------------
 
 
 def cmd_sample(cfg: dict) -> int:
+    """Draw --n-draws accepted samples and KS-test each coordinate against its
+    exact marginal; the gamma is the one-coordinate case of the Dirichlet."""
     _require_out(cfg)
     n = int(cfg["n-draws"])
     if n < 0:
         raise ConfigError("--n-draws must be >= 0")
-    stream = RandomStream(cfg["seed"], 0)
-    header = _config_line("sample", cfg)
-    if cfg["dist"] == "gamma":
-        if len(cfg["alpha"]) != 1:
-            raise ConfigError("gamma sampling takes a single --alpha")
-        alpha, beta = float(cfg["alpha"][0]), float(cfg["beta"])
-        try:
-            bank = make_sampler_bank(np.array([alpha]), beta, int(cfg["b"]))
-            batch = bank.draw_batch(stream, n)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
-        eps = batch.eps[:, 0]
-        z = batch.z[:, 0]
-        trials = batch.trials[:, 0]
-        columns = ["epsilon", "z", "trials"]
-        rows = zip(eps.tolist(), z.tolist(), trials.tolist())
-        if n:
-            acc = n / int(trials.sum())
-            stat, pvalue = _ks_report(z, lambda x: reg_lower_gamma(alpha, beta * x))
-            summary = (
-                f"# summary: draws={n} acceptance={acc!r} ks={stat!r} ks_pvalue={pvalue!r} "
-                f"log_M={float(bank.log_M[0])!r} effective_shape={float(bank.eff_shapes[0])!r}"
-            )
-        else:
-            summary = "# summary: no draws"
+    conc = np.array(cfg["alpha"], dtype=float)
+    gamma = cfg["dist"] == "gamma"
+    if gamma and conc.size != 1:
+        raise ConfigError("gamma sampling takes a single --alpha")
+    if not gamma and conc.size < 2:
+        raise ConfigError("dirichlet sampling needs >= 2 concentrations in --alpha")
+    rate = float(cfg["beta"]) if gamma else 1.0
+    try:
+        bank = make_sampler_bank(conc, rate, int(cfg["b"]))
+        batch = bank.draw_batch(RandomStream(cfg["seed"], 0), n)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+    # the per-distribution choices; everything after them runs once for either
+    if gamma:
+        z = np.exp(batch.log_z)
+        names = ["epsilon", "z", "trials"]
+        cdfs = [lambda x: reg_lower_gamma(float(conc[0]), rate * x)]
+        envelope = f" log_M={float(bank.log_M[0])!r} effective_shape={float(bank.eff_shapes[0])!r}"
     else:
-        conc = np.array(cfg["alpha"], dtype=float)
-        if conc.size < 2:
-            raise ConfigError("dirichlet sampling needs >= 2 concentrations in --alpha")
-        try:
-            bank = make_sampler_bank(conc, 1.0, int(cfg["b"]))
-            batch = bank.draw_batch(stream, n)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
-        k = conc.size
         z = np.exp(_log_simplex(batch.log_z))
-        columns = (
-            [f"epsilon_{i}" for i in range(k)]
-            + [f"z_{i}" for i in range(k)]
-            + [f"trials_{i}" for i in range(k)]
-        )
-        rows = (
-            list(batch.eps[i].tolist()) + list(z[i].tolist()) + list(batch.trials[i].tolist())
-            for i in range(n)
-        )
-        if n:
-            acc = n * k / int(batch.trials.sum())
-            a0 = float(conc.sum())
-            # np.max, not max(): a NaN marginal makes the worst statistic NaN
-            stats = [_ks_report(z[:, i], lambda x, ai=ai: reg_inc_beta(ai, a0 - ai, x))[0] for i, ai in enumerate(conc)]
-            worst = float(np.max(stats))
-            pvalue = kolmogorov_sf(math.sqrt(n) * worst)
-            summary = f"# summary: draws={n} acceptance={acc!r} ks={worst!r} ks_pvalue={pvalue!r}"
-        else:
-            summary = "# summary: no draws"
-    with open(cfg["out"], "w", newline="", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-        fh.write(summary + "\n")
+        names = [f"{col}_{i}" for col in ("epsilon", "z", "trials") for i in range(conc.size)]
+        a0 = float(conc.sum())
+        cdfs = [lambda x, ai=ai: reg_inc_beta(ai, a0 - ai, x) for ai in conc]
+        envelope = ""
+    summary = "# summary: no draws"
+    if n:
+        acc = n * conc.size / int(batch.trials.sum())
+        # np.max, not max(): a NaN marginal makes the worst statistic NaN
+        worst = float(np.max([_ks_statistic(z[:, i], cdf) for i, cdf in enumerate(cdfs)]))
+        pvalue = kolmogorov_sf(math.sqrt(n) * worst)
+        summary = f"# summary: draws={n} acceptance={acc!r} ks={worst!r} ks_pvalue={pvalue!r}{envelope}"
+    columns = [*batch.eps.T, *z.T, *batch.trials.T]
+    _write_table(cfg["out"], _config_line("sample", cfg), names, zip(*(col.tolist() for col in columns)), summary)
     print(summary.lstrip("# "))
     return EXIT_OK
 
 
-def _conjugate_from_cfg(cfg):
-    try:
-        return ConjugateModel(np.array(cfg["prior"], dtype=float), np.array(cfg["counts"]))
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _def_from_cfg(cfg):
-    """The layered count model on the --data file (fit only) or on synthetic counts."""
-    layers = tuple(cfg["layers"])
-    if cfg.get("data"):
-        counts = _load_counts(cfg["data"], cfg["format"])
-    else:
-        data_stream = RandomStream(cfg["data-seed"], 977)
-        counts, _ = make_synthetic_def_data(layers, int(cfg["n-obs"]), int(cfg["n-dim"]), data_stream)
-    try:
-        return SparseGammaDEF(layers, counts)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _spec_for(cfg):
-    if cfg["model"] == "conjugate":
-        model = _conjugate_from_cfg(cfg)
-        return model, conjugate_model_spec(model)
-    model = _def_from_cfg(cfg)
-    return model, def_model_spec(model)
+    """The --model model and its spec. The layered model is fitted to the
+    --data file (fit only) or to synthetic counts."""
+    try:
+        if cfg["model"] == "conjugate":
+            model = ConjugateModel(np.array(cfg["prior"], dtype=float), np.array(cfg["counts"]))
+            return model, conjugate_model_spec(model)
+        layers = tuple(cfg["layers"])
+        if cfg.get("data"):
+            counts = _load_counts(cfg["data"], cfg["format"])
+        else:
+            data_stream = RandomStream(cfg["data-seed"], 977)
+            counts, _ = make_synthetic_def_data(layers, int(cfg["n-obs"]), int(cfg["n-dim"]), data_stream)
+        model = SparseGammaDEF(layers, counts)
+        return model, def_model_spec(model)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_gradcheck(cfg: dict) -> int:
@@ -365,58 +330,56 @@ def cmd_gradcheck(cfg: dict) -> int:
     rng_pts = stream.uniforms(200)
     results = []
 
-    def check(name, max_rel, tol):
-        results.append((name, max_rel, tol, max_rel <= tol))
+    def check(name, errors, tol):
+        # np.max, not max(): a NaN error makes the worst error NaN, and NaN fails
+        worst = float(np.max(errors))
+        results.append((name, worst, tol, worst <= tol))
 
     # transform derivatives
-    worst_e = worst_a = 0.0
+    errs_e, errs_a = [], []
     for i in range(50):
         a = 1.0 + 19.0 * rng_pts[2 * i]
         e = -2.5 + 5.5 * rng_pts[2 * i + 1]
-        fd_e = finite_diff_grad(lambda v: h_gam(v, a), e, 1e-6)
-        fd_a = finite_diff_grad(lambda v: h_gam(e, v), a, 1e-6)
-        worst_e = max(worst_e, abs(fd_e - dh_deps(e, a)) / max(1.0, abs(fd_e)))
-        worst_a = max(worst_a, abs(fd_a - dh_dalpha(e, a)) / max(1.0, abs(fd_a)))
-    check("dh_deps", worst_e, 1e-6)
-    check("dh_dalpha", worst_a, 1e-6)
+        errs_e.append(_rel_err(finite_diff_grad(lambda v: h_gam(v, a), e, 1e-6), dh_deps(e, a)))
+        errs_a.append(_rel_err(finite_diff_grad(lambda v: h_gam(e, v), a, 1e-6), dh_dalpha(e, a)))
+    check("dh_deps", errs_e, 1e-6)
+    check("dh_dalpha", errs_a, 1e-6)
 
-    worst = 0.0
+    errs = []
     for i in range(50):
         a = 1.0 + 19.0 * rng_pts[100 + 2 * i]
         e = -2.0 + 4.0 * rng_pts[100 + 2 * i + 1]
         fd = finite_diff_grad(lambda v: log_ratio_q_over_r(e, v), a, 1e-4)
-        worst = max(worst, abs(fd - grad_log_ratio_gamma(e, a)) / max(1.0, abs(fd)))
-    check("grad_log_ratio", worst, 1e-5)
+        errs.append(_rel_err(fd, grad_log_ratio_gamma(e, a)))
+    check("grad_log_ratio", errs, 1e-5)
 
-    worst = 0.0
+    errs = []
     pts = stream.uniforms(40)
     for i in range(20):
         p = GammaParams(0.2 + 5.0 * pts[2 * i], 0.2 + 5.0 * pts[2 * i + 1])
         fd = finite_diff_grad(lambda v: gamma_entropy(GammaParams(v[0], v[1])), np.array([p.shape, p.rate]), 1e-6)
-        an = np.array(gamma_entropy_grad(p))
-        worst = max(worst, float(np.max(np.abs(fd - an)) / max(1.0, float(np.max(np.abs(fd))))))
-    check("gamma_entropy_grad", worst, 1e-6)
+        errs.append(_rel_err(fd, gamma_entropy_grad(p)))
+    check("gamma_entropy_grad", errs, 1e-6)
 
-    worst = 0.0
+    errs = []
     pts = stream.uniforms(60)
     for i in range(20):
         conc = 0.3 + 4.0 * pts[3 * i : 3 * i + 3]
         fd = finite_diff_grad(lambda v: dirichlet_entropy(DirichletParams(v)), conc, 1e-6)
-        an = dirichlet_entropy_grad(DirichletParams(conc))
-        worst = max(worst, float(np.max(np.abs(fd - an)) / max(1.0, float(np.max(np.abs(fd))))))
-    check("dirichlet_entropy_grad", worst, 1e-6)
+        errs.append(_rel_err(fd, dirichlet_entropy_grad(DirichletParams(conc))))
+    check("dirichlet_entropy_grad", errs, 1e-6)
 
     xs = np.linspace(-30.0, 30.0, 21)
     fd = np.array([finite_diff_grad(lambda v: engine.softplus(v), float(x), 1e-6) for x in xs])
     an = softplus_jacobian(xs)
-    check("softplus_jacobian", float(np.max(np.abs(fd - an))), 1e-8)
+    check("softplus_jacobian", np.abs(fd - an), 1e-8)
 
     spec = _spec_for(cfg)[1]
     try:
         worst = spec.self_check(stream.child(5), n_points=20, rel_tol=1e-4)
-        check("model_grad_self_check", worst, 1e-4)
-    except DomainError as exc:
-        results.append(("model_grad_self_check", float("nan"), 1e-4, False))
+    except DomainError:
+        worst = float("nan")
+    check("model_grad_self_check", worst, 1e-4)
 
     all_ok = True
     for name, max_rel, tol, ok in results:
@@ -453,12 +416,7 @@ def cmd_variance(cfg: dict) -> int:
     except DomainError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
-    with open(cfg["out"], "w", newline="", encoding="utf-8") as fh:
-        fh.write(_config_line("variance", cfg) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["estimator", "B", "min", "median", "max"])
-        for kind, b, vmin, vmed, vmax in rows:
-            writer.writerow([kind, b, repr(vmin), repr(vmed), repr(vmax)])
+    _write_table(cfg["out"], _config_line("variance", cfg), ["estimator", "B", "min", "median", "max"], rows)
     for kind, b, vmin, vmed, vmax in rows:
         print(f"{kind} B={b}: min={vmin:.6g} median={vmed:.6g} max={vmax:.6g}")
     return EXIT_OK

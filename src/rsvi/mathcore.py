@@ -663,3 +663,11 @@ def finite_diff_grad(
             )
         grad[i] = (fp - fm) / (2.0 * h)
     return float(grad[0]) if scalar else grad
+
+
+def _rel_err(fd, analytic) -> float:
+    """max|analytic - fd| / max(1, max|fd|): the one error metric of the
+    derivative checks, for a scalar or a vector derivative. A NaN analytic
+    value gives NaN, which a check must count as a failure."""
+    err = np.max(np.abs(np.asarray(analytic, dtype=float) - fd))
+    return float(err / max(1.0, float(np.max(np.abs(fd)))))

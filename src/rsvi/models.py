@@ -17,7 +17,7 @@ import numpy as np
 
 from .distributions import DirichletParams, dirichlet_entropy
 from .exceptions import DomainError
-from .mathcore import RandomStream, digamma, finite_diff_grad, log_gamma_fn, trigamma
+from .mathcore import RandomStream, _rel_err, digamma, finite_diff_grad, log_gamma_fn, trigamma
 from .rejection import make_sampler_bank
 
 __all__ = [
@@ -110,18 +110,19 @@ class ModelSpec:
         """Analytic-vs-finite-difference gradient check at random log points,
         each evaluated as a one-row batch.
 
-        Error metric per point: max_i |g_i - fd_i| / max(1, max_i |fd_i|).
-        Raises DomainError if any point exceeds rel_tol; returns the worst
-        error seen.
+        Error metric per point: mathcore._rel_err, max_i |g_i - fd_i| /
+        max(1, max_i |fd_i|). Raises DomainError if any point exceeds rel_tol
+        or has a NaN error; returns the worst error seen.
         """
-        worst = 0.0
+        errors = []
         for _ in range(n_points):
             z = self.random_interior_point(stream)
             g = np.asarray(self.grad_latents_batch(z[None]), dtype=float)[0]
             fd = finite_diff_grad(lambda v: float(self.log_joint_batch(v[None])[0]), z, h)
-            err = float(np.max(np.abs(g - fd)) / max(1.0, float(np.max(np.abs(fd)))))
-            worst = max(worst, err)
-        if worst > rel_tol:
+            errors.append(_rel_err(fd, g))
+        # np.max, not max(): a NaN error makes the worst error NaN, and NaN fails
+        worst = float(np.max(errors, initial=0.0))
+        if not worst <= rel_tol:
             raise DomainError(f"gradient self-check failed: rel err {worst:.3e} > {rel_tol:.1e}")
         return worst
 

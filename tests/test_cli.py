@@ -102,9 +102,8 @@ class TestSample:
         ref = stats.kstest(z, lambda v: special.gammainc(1e6, v)).statistic
         assert abs(float(lines[-1].split("ks=")[1].split()[0]) - ref) <= 1e-9
 
-    def test_ks_report_carries_nan(self):
-        stat, pvalue = cli._ks_report(np.array([0.3, 0.1, 0.2]), lambda v: np.where(v == 0.2, np.nan, v))
-        assert math.isnan(stat) and math.isnan(pvalue)
+    def test_ks_statistic_carries_nan(self):
+        assert math.isnan(cli._ks_statistic(np.array([0.3, 0.1, 0.2]), lambda v: np.where(v == 0.2, np.nan, v)))
 
     def test_unconverged_cdf_prints_nan(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(mathcore, "_MAX_STEPS", 5)
@@ -123,11 +122,63 @@ class TestSample:
         ) == 0
         assert capsys.readouterr().out.rstrip().endswith(" ks=nan ks_pvalue=nan")
 
-    def test_config_errors(self, tmp_path):
+    def test_config_errors(self, tmp_path, capsys):
         assert run_cli("sample", "--alpha", "-2", "--out", str(tmp_path / "x.csv")) == 2
         assert run_cli("sample", "--alpha", "2") == 2  # missing --out
         assert run_cli("sample", "--dist", "weird", "--out", str(tmp_path / "x.csv")) == 2
         assert run_cli("sample", "--n-draws", "-5", "--out", str(tmp_path / "x.csv")) == 2
+        capsys.readouterr()
+        assert run_cli("sample", "--alpha", "2,3", "--out", str(tmp_path / "x.csv")) == 2
+        assert capsys.readouterr().err == "config error: gamma sampling takes a single --alpha\n"
+        assert run_cli("sample", "--dist", "dirichlet", "--alpha", "2", "--out", str(tmp_path / "x.csv")) == 2
+        assert capsys.readouterr().err == "config error: dirichlet sampling needs >= 2 concentrations in --alpha\n"
+
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (
+                ["sample", "--alpha", "0.3", "--b", "2", "--n-draws", "3", "--seed", "7", "--out", "g.csv"],
+                b"# rsvi sample config: alpha=(0.3,) b=2 beta=1.0 dist='gamma' n-draws=3 out='g.csv' seed=7\n"
+                b"epsilon,z,trials\r\n"
+                b"-0.8664488533725647,0.0069812336391118284,1\r\n"
+                b"0.2993178823318313,0.10513345829495031,1\r\n"
+                b"1.23761825837002,0.7971398055233929,1\r\n"
+                b"# summary: draws=3 acceptance=1.0 ks=0.2508768101230593 ks_pvalue=0.9916157376759955 "
+                b"log_M=0.015494523616786438 effective_shape=2.3\n",
+            ),
+            (
+                [
+                    "sample", "--dist", "dirichlet", "--alpha", "1,2,3", "--n-draws", "2", "--seed", "7",
+                    "--out", "d.csv",
+                ],
+                b"# rsvi sample config: alpha=(1.0, 2.0, 3.0) b=0 beta=1.0 dist='dirichlet' n-draws=2 out='d.csv' seed=7\n"
+                b"epsilon_0,epsilon_1,epsilon_2,z_0,z_1,z_2,trials_0,trials_1,trials_2\r\n"
+                b"-0.8664488533725647,0.2993178823318313,1.23761825837002,"
+                b"0.023977959173114283,0.2776468695646847,0.6983751712622008,1,1,1\r\n"
+                b"0.3752924835186,-0.6610409944386471,-0.3057133625174855,"
+                b"0.24512891324780287,0.22791496672652126,0.5269561200256758,1,1,1\r\n"
+                b"# summary: draws=2 acceptance=1.0 ks=0.5746475958310623 ks_pvalue=0.5236656007064968\n",
+            ),
+            (
+                ["variance", "--g", "2", "--seed", "7", "--out", "v.csv"],
+                b"# rsvi variance config: b=(0, 1, 4) counts=(8, 5, 4, 2, 1) data-seed=0 draws=1 "
+                b"estimators='rsvi,score_function' g=2 layers=(10, 5) model='conjugate' n-dim=6 n-obs=8 out='v.csv' "
+                b"prior=(1.0, 1.0, 1.0, 1.0, 1.0) seed=7 theta=None\n"
+                b"estimator,B,min,median,max\r\n"
+                b"rsvi,0,10.901757465197008,45.84522666995605,53.046067076814694\r\n"
+                b"rsvi,1,1.5237658192443322,4.859813867683597,217.19569293281694\r\n"
+                b"rsvi,4,0.15758224156193487,30.3654278397153,51.64778610629003\r\n"
+                b"score_function,0,0.12712752894417295,909.8593530500037,2858.5416488792666\r\n",
+            ),
+        ],
+        ids=["gamma", "dirichlet", "variance"],
+    )
+    def test_csv_bytes_are_pinned(self, tmp_path, monkeypatch, args, expected):
+        # the whole file: the header (which records the relative --out), the
+        # csv module's \r\n rows of repr cells and the summary line
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*args) == 0
+        assert (tmp_path / args[-1]).read_bytes() == expected
 
     def test_sampler_stall_exit_code(self, tmp_path, monkeypatch):
         class StallBank:
@@ -198,7 +249,8 @@ class TestGradcheck:
         out = capsys.readouterr().out.splitlines()
         assert [row for row in out if "model_grad_self_check" in row] == [line]
 
-    def test_negative_control(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("corrupt", ["offset", "nan"])
+    def test_negative_control(self, capsys, monkeypatch, corrupt):
         spec_for = cli._spec_for
 
         def wrong_gradient(cfg):
@@ -206,15 +258,22 @@ class TestGradcheck:
 
             def corrupted(lz):
                 g = np.array(spec.grad_latents_batch(lz))
-                g[:, 0] += 1.0 + abs(g[:, 0])
+                g[:, 0] = np.nan if corrupt == "nan" else g[:, 0] + 1.0 + abs(g[:, 0])
                 return g
 
             return model, ModelSpec(spec.latent_layout, spec.log_joint_batch, corrupted)
 
         monkeypatch.setattr(cli, "_spec_for", wrong_gradient)
         assert run_cli("gradcheck", "--seed", "3") == 1
-        out = capsys.readouterr().out
-        assert "FAIL model_grad_self_check" in out
+        out = capsys.readouterr().out.splitlines()
+        assert "FAIL model_grad_self_check: max_rel_err=nan tol=0.0001" in out
+
+    def test_nan_transform_derivative_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "dh_deps", lambda e, a: float("nan"))
+        assert run_cli("gradcheck", "--seed", "3") == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "FAIL dh_deps: max_rel_err=nan tol=1e-06" in out
+        assert out[-1] == "gradcheck: CHECK FAILURES (seed=3)"
 
     def test_layered_model(self):
         assert run_cli("gradcheck", "--model", "def", "--layers", "3,2", "--n-obs", "4",
@@ -403,6 +462,6 @@ class TestContract:
             [sys.executable, "tools/contract.py", str(tmp_path)], cwd=root, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        assert len(list(tmp_path.iterdir())) == 46
+        assert len(list(tmp_path.iterdir())) == 62
         exits = list(tmp_path.glob("*.exit"))
-        assert len(exits) == 11 and all(path.read_text() == "0\n" for path in exits)
+        assert len(exits) == 15 and all(path.read_text() == "0\n" for path in exits)

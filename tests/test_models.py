@@ -98,11 +98,21 @@ class TestModelSpec:
                 lambda z: z,
             )
 
-    def test_self_check_catches_corruption(self, conj5_spec):
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda g: g + 0.05,
+            lambda g: np.full_like(g, np.nan),
+            lambda g: np.where(np.arange(g.shape[1]) == 2, np.nan, g),
+        ],
+        ids=["offset", "all_nan", "one_nan"],
+    )
+    def test_self_check_catches_corruption(self, conj5_spec, corrupt):
+        # a NaN entry gives a NaN error at its point, which must fail the check
         bad = ModelSpec(
             conj5_spec.latent_layout,
             conj5_spec.log_joint_batch,
-            lambda z: conj5_spec.grad_latents_batch(z) + 0.05,
+            lambda z: corrupt(np.asarray(conj5_spec.grad_latents_batch(z), dtype=float)),
         )
         with pytest.raises(DomainError):
             bad.self_check(RandomStream(0, 0))

@@ -40,6 +40,18 @@ COMMANDS = {
     "sample-dirichlet": [
         "sample", "--dist", "dirichlet", "--alpha", "1,2,3", "--n-draws", "5000", "--seed", "13", "--out", "{out}.csv",
     ],
+    "sample-gamma-empty": ["sample", "--alpha", "2", "--n-draws", "0", "--seed", "14", "--out", "{out}.csv"],
+    "sample-dirichlet-empty": [
+        "sample", "--dist", "dirichlet", "--alpha", "1,2", "--n-draws", "0", "--seed", "15", "--out", "{out}.csv",
+    ],
+    "sample-gamma-rate-b1": [
+        "sample", "--alpha", "3.5", "--beta", "2.5", "--b", "1", "--n-draws", "5000", "--seed", "16",
+        "--out", "{out}.csv",
+    ],
+    "sample-dirichlet-b1": [
+        "sample", "--dist", "dirichlet", "--alpha", "0.5,1,4", "--b", "1", "--n-draws", "5000", "--seed", "17",
+        "--out", "{out}.csv",
+    ],
     "gradcheck-conjugate": ["gradcheck", "--seed", "5"],
     "gradcheck-def": ["gradcheck", "--model", "def", "--seed", "5"],
     "variance-conjugate": ["variance", *_ESTIMATORS, "--b", "0,1,4", "--g", "150", "--seed", "17", "--out", "{out}.csv"],
