@@ -376,7 +376,7 @@ def cmd_gradcheck(cfg: dict) -> int:
 
     spec = _spec_for(cfg)[1]
     try:
-        worst = spec.self_check(stream.child(5), n_points=20, rel_tol=1e-4)
+        worst = spec.self_check(stream.child(5))
     except DomainError:
         worst = float("nan")
     check("model_grad_self_check", worst, 1e-4)

@@ -215,23 +215,21 @@ def run_rsvi(model, theta_init, cfg: RunConfig, stream: RandomStream):
     return softplus(phi), trace
 
 
-def trace_stability(trace, window: int = 100, span: int = 1000, slack_sds: float = 3.0) -> bool:
-    """Whether the windowed ELBO means are non-decreasing over the last span.
+def trace_stability(trace) -> bool:
+    """Whether the windowed ELBO means are non-decreasing over the last 1000
+    iterations.
 
-    The final `span` iterations are cut into consecutive `window`-sized
-    blocks (the moving average sampled every `window` iterations). Because
-    the reported ELBO is a Monte Carlo estimate, "non-decreasing" allows
-    each block mean to dip below its predecessor by at most `slack_sds`
-    standard errors of the difference (SEs estimated from the within-block
-    scatter); a genuine ELBO collapse exceeds that band and fails.
+    Those iterations are cut into ten consecutive 100-iteration blocks (the
+    moving average sampled every 100 iterations). Because the reported ELBO
+    is a Monte Carlo estimate, "non-decreasing" allows each block mean to dip
+    below its predecessor by at most 3 standard errors of the difference (SEs
+    estimated from the within-block scatter); a genuine ELBO collapse exceeds
+    that band and fails.
     """
-    if span % window != 0:
-        raise DomainError("span must be a multiple of window")
-    if len(trace) < span:
+    if len(trace) < 1000:
         return False
-    values = np.array([r.elbo for r in trace[-span:]], dtype=float)
-    blocks = values.reshape(span // window, window)
+    blocks = np.array([r.elbo for r in trace[-1000:]], dtype=float).reshape(10, 100)
     means = blocks.mean(axis=1)
-    ses = blocks.std(axis=1, ddof=1) / math.sqrt(window)
-    slack = slack_sds * np.sqrt(ses[1:] ** 2 + ses[:-1] ** 2)
+    ses = blocks.std(axis=1, ddof=1) / math.sqrt(100)
+    slack = 3.0 * np.sqrt(ses[1:] ** 2 + ses[:-1] ** 2)
     return bool(np.all(np.diff(means) >= -slack))

@@ -537,7 +537,7 @@ def variance_profile(model, theta, cfg, G: int, stream: RandomStream) -> Varianc
     state = ThetaState(model, theta)
     banks = state.banks(cfg.aug_b)
     per_chunk = _rows_per_chunk(model)
-    children = StreamBatch.children(stream, 0, G)
+    children = StreamBatch.children(stream, G)
     totals = np.empty((G, state.n_params))
     for lo in range(0, G, per_chunk):
         rows = StreamBatch(children.bases[lo : lo + per_chunk], children.counters[lo : lo + per_chunk])

@@ -299,6 +299,12 @@ def kolmogorov_sf(t: float) -> float:
     t = float(t)
     if not t > 0.0:
         return t if math.isnan(t) else 1.0
+    if t < 0.3:
+        # 1 - Q(t) = (sqrt(2 pi) / t) sum_k exp(-(2k - 1)^2 pi^2 / (8 t^2)); here its
+        # second term is below e^-109 of its first, while the alternating series
+        # below has not converged in its 100 terms under t ~ 0.046
+        a = math.pi / t
+        return 1.0 - math.exp(-0.125 * a * a) / t * math.sqrt(2.0 * math.pi)
     total = 0.0
     for j in range(1, 101):
         term = math.exp(-2.0 * j * j * t * t)
@@ -602,18 +608,16 @@ class StreamBatch:
         self.counters = np.array(counters, dtype=np.uint64)
 
     @classmethod
-    def children(cls, stream: RandomStream, start: int, stop: int) -> "StreamBatch":
-        """Fresh child streams ``stream.child(i)`` for i in [start, stop).
+    def children(cls, stream: RandomStream, n: int) -> "StreamBatch":
+        """Fresh child streams ``stream.child(i)`` for i in [0, n).
 
         Derives the keys of :meth:`RandomStream.child` with the vectorized
         finalizer, so no per-child object is built.
         """
-        if not 0 <= start <= stop:
-            raise DomainError("children needs 0 <= start <= stop")
-        idx = np.arange(start + 1, stop + 1, dtype=np.uint64)
+        idx = np.arange(1, n + 1, dtype=np.uint64)
         derived = _mix_np(np.uint64((stream.stream_id * _GOLDEN) & _MASK64) + idx)
         bases = _mix_np(np.uint64(_mix(stream.seed)) ^ _mix_np(derived ^ np.uint64(_GOLDEN)))
-        return cls(bases, np.zeros(stop - start, dtype=np.uint64))
+        return cls(bases, np.zeros(n, dtype=np.uint64))
 
     @property
     def size(self) -> int:

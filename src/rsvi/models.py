@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -106,25 +106,22 @@ class ModelSpec:
                 z[sl] = 0.3 + 2.0 * u
         return np.log(z)
 
-    def self_check(self, stream: RandomStream, n_points: int = 20, rel_tol: float = 1e-4, h: float = 1e-6) -> float:
-        """Analytic-vs-finite-difference gradient check at random log points,
-        each evaluated as a one-row batch.
+    def self_check(self, stream: RandomStream) -> float:
+        """Analytic-vs-finite-difference gradient check at 20 random log
+        points, each evaluated as a one-row batch (step 1e-6).
 
         Error metric per point: mathcore._rel_err, max_i |g_i - fd_i| /
-        max(1, max_i |fd_i|). Raises DomainError if any point exceeds rel_tol
-        or has a NaN error; returns the worst error seen.
+        max(1, max_i |fd_i|). Returns the worst error, NaN if any point's is;
+        callers gate it with `<=`, so a NaN fails.
         """
         errors = []
-        for _ in range(n_points):
+        for _ in range(20):
             z = self.random_interior_point(stream)
             g = np.asarray(self.grad_latents_batch(z[None]), dtype=float)[0]
-            fd = finite_diff_grad(lambda v: float(self.log_joint_batch(v[None])[0]), z, h)
+            fd = finite_diff_grad(lambda v: float(self.log_joint_batch(v[None])[0]), z, 1e-6)
             errors.append(_rel_err(fd, g))
-        # np.max, not max(): a NaN error makes the worst error NaN, and NaN fails
-        worst = float(np.max(errors, initial=0.0))
-        if not worst <= rel_tol:
-            raise DomainError(f"gradient self-check failed: rel err {worst:.3e} > {rel_tol:.1e}")
-        return worst
+        # np.max, not max(): a NaN error makes the worst error NaN
+        return float(np.max(errors))
 
 
 # --- conjugate Dirichlet-multinomial -------------------------------------------
@@ -253,14 +250,17 @@ class SparseGammaDEF:
     observations, the last layer is the top. Weights w[0] (K_1 x D) connect
     layer 1 to the data; w[l] (K_l x K_{l+1}) couples adjacent layers. Each
     non-top latent is Gam(alpha_z, alpha_z / (w z_above)), so the prior mean
-    of a latent is its weighted parent sum.
+    of a latent is its weighted parent sum. The priors are fixed at the
+    paper's values: alpha_z = 0.1, weights Gam(0.1, 0.3) and the top layer
+    Gam(0.1, 0.1), as (shape, rate).
     """
+
+    alpha_z: ClassVar[float] = 0.1
+    weight_prior: ClassVar[tuple] = (0.1, 0.3)
+    top_prior: ClassVar[tuple] = (0.1, 0.1)
 
     layer_sizes: tuple
     data: np.ndarray
-    alpha_z: float = 0.1
-    weight_prior: tuple = (0.1, 0.3)
-    top_prior: tuple = (0.1, 0.1)
 
     def __post_init__(self):
         sizes = tuple(int(k) for k in self.layer_sizes)
@@ -271,20 +271,10 @@ class SparseGammaDEF:
             raise DomainError("data must be a non-empty (n_obs, n_dim) matrix")
         if not (np.all(data == np.floor(data)) and np.all(data >= 0)):
             raise DomainError("data must hold non-negative integer counts")
-        for name in ("alpha_z",):
-            if not (float(getattr(self, name)) > 0.0):
-                raise DomainError(f"{name} must be positive")
-        for pair_name in ("weight_prior", "top_prior"):
-            a, b = getattr(self, pair_name)
-            if not (a > 0.0 and b > 0.0):
-                raise DomainError(f"{pair_name} must be positive (shape, rate)")
         data = data.astype(np.int64)
         data.flags.writeable = False
         object.__setattr__(self, "layer_sizes", sizes)
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "alpha_z", float(self.alpha_z))
-        object.__setattr__(self, "weight_prior", (float(self.weight_prior[0]), float(self.weight_prior[1])))
-        object.__setattr__(self, "top_prior", (float(self.top_prior[0]), float(self.top_prior[1])))
         object.__setattr__(
             self, "_poisson_const", -float(np.sum(log_gamma_fn(data.astype(float) + 1.0)))
         )
@@ -478,46 +468,30 @@ def _poisson_draw(lam: float, stream: RandomStream) -> int:
     return k
 
 
-def make_synthetic_def_data(
-    layer_sizes,
-    n_obs: int,
-    n_dim: int,
-    stream: RandomStream,
-    alpha_z: float = 0.1,
-    weight_prior=(0.1, 0.3),
-    top_prior=(0.1, 0.1),
-    weights=None,
-):
-    """Ancestral draw from the generative model itself.
+def make_synthetic_def_data(layer_sizes, n_obs: int, n_dim: int, stream: RandomStream):
+    """Ancestral draw from the generative model itself, with SparseGammaDEF's
+    fixed priors.
 
-    Returns (counts matrix, dict of generating latents). `weights`, when
-    given, overrides the prior draws (entries may be zero; useful for
-    degenerate fixtures).
+    Returns (counts matrix, dict of generating latents).
     """
     sizes = tuple(int(k) for k in layer_sizes)
     if not sizes or any(k < 1 for k in sizes) or n_obs < 1 or n_dim < 1:
         raise DomainError("layer sizes, n_obs and n_dim must be positive")
-    wa, wb = weight_prior
-    shapes = _weight_shapes(sizes, n_dim)
-    if weights is None:
-        ws = []
-        for shape in shapes:
-            bank = make_sampler_bank(np.full(shape[0] * shape[1], float(wa)), float(wb), 0)
-            ws.append(bank.draw(stream).z.reshape(shape))
-    else:
-        ws = [np.asarray(w, dtype=float) for w in weights]
-        for w, shape in zip(ws, shapes):
-            if w.shape != shape or np.any(w < 0.0):
-                raise DomainError(f"override weights must be non-negative with shape {shape}")
-    ta, tb = top_prior
+    alpha_z = SparseGammaDEF.alpha_z
+    wa, wb = SparseGammaDEF.weight_prior
+    ws = []
+    for shape in _weight_shapes(sizes, n_dim):
+        bank = make_sampler_bank(np.full(shape[0] * shape[1], wa), wb, 0)
+        ws.append(bank.draw(stream).z.reshape(shape))
+    ta, tb = SparseGammaDEF.top_prior
     zs = [None] * len(sizes)
-    bank = make_sampler_bank(np.full(n_obs * sizes[-1], float(ta)), float(tb), 0)
+    bank = make_sampler_bank(np.full(n_obs * sizes[-1], ta), tb, 0)
     zs[-1] = bank.draw(stream).z.reshape(n_obs, sizes[-1])
     for l in range(len(sizes) - 2, -1, -1):
         mean = zs[l + 1] @ ws[l + 1].T
         mean = np.maximum(mean, POISSON_RATE_FLOOR)
         rates = (alpha_z / mean).ravel()
-        bank = make_sampler_bank(np.full(rates.size, float(alpha_z)), rates, 0)
+        bank = make_sampler_bank(np.full(rates.size, alpha_z), rates, 0)
         zs[l] = bank.draw(stream).z.reshape(n_obs, sizes[l])
     lam = zs[0] @ ws[0]
     counts = np.empty((n_obs, n_dim), dtype=np.int64)

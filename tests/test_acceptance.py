@@ -203,50 +203,52 @@ def test_criterion_07_analytic_derivative_suite(conj_spec):
         an, fd = np.atleast_1d(an).astype(float), np.atleast_1d(fd).astype(float)
         return float(np.max(np.abs(an - fd)) / max(1.0, float(np.max(np.abs(fd)))))
 
-    worst_e = worst_a = 0.0
+    # each worst error is np.max over a list, not a max() fold: max(0.0, nan)
+    # is 0.0, while np.max keeps a NaN, and a NaN fails the gate below
+    errs_e, errs_a = [], []
     for _ in range(50):
         a = 1.0 + 19.0 * stream.uniform()
         e = -2.5 + 5.5 * stream.uniform()
-        worst_e = max(worst_e, rel(dh_deps(e, a), finite_diff_grad(lambda v: h_gam(v, a), e, 1e-6)))
-        worst_a = max(worst_a, rel(dh_dalpha(e, a), finite_diff_grad(lambda v: h_gam(e, v), a, 1e-6)))
-    checks["dh_deps"] = worst_e
-    checks["dh_dalpha"] = worst_a
+        errs_e.append(rel(dh_deps(e, a), finite_diff_grad(lambda v: h_gam(v, a), e, 1e-6)))
+        errs_a.append(rel(dh_dalpha(e, a), finite_diff_grad(lambda v: h_gam(e, v), a, 1e-6)))
+    checks["dh_deps"] = float(np.max(errs_e))
+    checks["dh_dalpha"] = float(np.max(errs_a))
 
-    worst = 0.0
+    errs = []
     for _ in range(50):
         a = 1.0 + 25.0 * stream.uniform()
         e = -2.0 + 4.0 * stream.uniform()
-        worst = max(worst, rel(grad_log_ratio_gamma(e, a), finite_diff_grad(lambda v: log_ratio_q_over_r(e, v), a, 1e-4)))
-    checks["grad_log_ratio"] = worst
+        errs.append(rel(grad_log_ratio_gamma(e, a), finite_diff_grad(lambda v: log_ratio_q_over_r(e, v), a, 1e-4)))
+    checks["grad_log_ratio"] = float(np.max(errs))
 
-    worst = worst_ms = 0.0
+    errs, errs_ms = [], []
     for _ in range(20):
         a, b = 0.3 + 5.0 * stream.uniform(), 0.3 + 5.0 * stream.uniform()
         fd = finite_diff_grad(lambda v: gamma_entropy(GammaParams(v[0], v[1])), np.array([a, b]), 1e-6)
-        worst = max(worst, rel(np.array(gamma_entropy_grad(GammaParams(a, b))), fd))
+        errs.append(rel(np.array(gamma_entropy_grad(GammaParams(a, b))), fd))
         fd_ms = finite_diff_grad(
             lambda v: gamma_entropy(GammaMeanShapeParams(v[0], v[1]).as_shape_rate()),
             np.array([a, b]), 1e-6,
         )
-        worst_ms = max(worst_ms, rel(np.array(gamma_entropy_grad_mean_shape(GammaMeanShapeParams(a, b))), fd_ms))
-    checks["gamma_entropy_grad"] = worst
-    checks["gamma_entropy_grad_mean_shape"] = worst_ms
+        errs_ms.append(rel(np.array(gamma_entropy_grad_mean_shape(GammaMeanShapeParams(a, b))), fd_ms))
+    checks["gamma_entropy_grad"] = float(np.max(errs))
+    checks["gamma_entropy_grad_mean_shape"] = float(np.max(errs_ms))
 
-    worst = 0.0
+    errs = []
     for _ in range(20):
         conc = 0.3 + 4.0 * stream.uniforms(4)
         fd = finite_diff_grad(lambda v: dirichlet_entropy(DirichletParams(v)), conc, 1e-6)
-        worst = max(worst, rel(dirichlet_entropy_grad(DirichletParams(conc)), fd))
-    checks["dirichlet_entropy_grad"] = worst
+        errs.append(rel(dirichlet_entropy_grad(DirichletParams(conc)), fd))
+    checks["dirichlet_entropy_grad"] = float(np.max(errs))
 
     xs = -25.0 + 50.0 * stream.uniforms(25)
     fd = np.array([finite_diff_grad(lambda v: softplus(v), float(x), 1e-6) for x in xs])
     checks["softplus_jacobian"] = rel(softplus_jacobian(xs), fd)
 
-    checks["conjugate_model_grad"] = conj_spec.self_check(stream, n_points=20, rel_tol=1e-4)
+    checks["conjugate_model_grad"] = conj_spec.self_check(stream)
     counts, _ = make_synthetic_def_data((3, 2), 4, 3, RandomStream(1, 977))
     def_spec = def_model_spec(SparseGammaDEF((3, 2), counts))
-    checks["def_model_grad"] = def_spec.self_check(stream, n_points=20, rel_tol=1e-4)
+    checks["def_model_grad"] = def_spec.self_check(stream)
 
     elapsed = time.perf_counter() - t0
     ok = all(v <= 1e-4 for v in checks.values()) and elapsed < 30.0
@@ -296,7 +298,7 @@ def test_criterion_09_def_stability():
     stable = 0
     for seed in range(10):
         _, trace = run_rsvi(spec, theta0, cfg, RandomStream(seed, 0))
-        stable += trace_stability(trace, window=100, span=1000)
+        stable += trace_stability(trace)
     elapsed = time.perf_counter() - t0
     ok = stable >= 9
     report(9, ok, f"{stable}/10 seeds stable (need >= 9), [10, 5] layers, 50x20 counts, {elapsed:.0f}s")

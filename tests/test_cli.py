@@ -249,8 +249,15 @@ class TestGradcheck:
         out = capsys.readouterr().out.splitlines()
         assert [row for row in out if "model_grad_self_check" in row] == [line]
 
-    @pytest.mark.parametrize("corrupt", ["offset", "nan"])
-    def test_negative_control(self, capsys, monkeypatch, corrupt):
+    @pytest.mark.parametrize(
+        "corrupt,line",
+        [
+            # the worst error itself, finite: the offset of 1 + |g| on one coordinate
+            ("offset", "FAIL model_grad_self_check: max_rel_err=1.1250000006466614 tol=0.0001"),
+            ("nan", "FAIL model_grad_self_check: max_rel_err=nan tol=0.0001"),
+        ],
+    )
+    def test_negative_control(self, capsys, monkeypatch, corrupt, line):
         spec_for = cli._spec_for
 
         def wrong_gradient(cfg):
@@ -266,7 +273,7 @@ class TestGradcheck:
         monkeypatch.setattr(cli, "_spec_for", wrong_gradient)
         assert run_cli("gradcheck", "--seed", "3") == 1
         out = capsys.readouterr().out.splitlines()
-        assert "FAIL model_grad_self_check: max_rel_err=nan tol=0.0001" in out
+        assert line in out
 
     def test_nan_transform_derivative_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "dh_deps", lambda e, a: float("nan"))
@@ -462,6 +469,6 @@ class TestContract:
             [sys.executable, "tools/contract.py", str(tmp_path)], cwd=root, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        assert len(list(tmp_path.iterdir())) == 62
+        assert len(list(tmp_path.iterdir())) == 67
         exits = list(tmp_path.glob("*.exit"))
-        assert len(exits) == 15 and all(path.read_text() == "0\n" for path in exits)
+        assert len(exits) == 16 and all(path.read_text() == "0\n" for path in exits)

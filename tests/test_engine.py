@@ -251,16 +251,20 @@ class TestTraceStability:
 
     def test_increasing_is_stable(self):
         values = np.linspace(-100.0, -50.0, 1200) + 0.01 * np.sin(np.arange(1200))
-        assert trace_stability(self._trace(values), window=100, span=1000)
+        assert trace_stability(self._trace(values))
 
     def test_collapse_fails(self):
         values = np.concatenate([np.full(600, -50.0), np.linspace(-50.0, -300.0, 600)])
         values = values + 0.01 * np.cos(np.arange(1200))
-        assert not trace_stability(self._trace(values), window=100, span=1000)
+        assert not trace_stability(self._trace(values))
 
     def test_short_trace_fails(self):
-        assert not trace_stability(self._trace(np.zeros(500)), window=100, span=1000)
+        assert not trace_stability(self._trace(np.zeros(500)))
 
-    def test_window_must_divide_span(self):
-        with pytest.raises(DomainError):
-            trace_stability(self._trace(np.zeros(1200)), window=300, span=1000)
+    def test_only_the_last_1000_iterations_count(self):
+        # a collapse before the last 1000 iterations does not count; 1000 flat
+        # iterations are enough
+        flat = -50.0 + 0.01 * np.cos(np.arange(1000))
+        assert trace_stability(self._trace(np.concatenate([np.linspace(-50.0, -300.0, 200), flat])))
+        assert trace_stability(self._trace(flat))
+        assert not trace_stability(self._trace(flat[:999]))

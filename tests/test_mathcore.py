@@ -249,6 +249,10 @@ class TestIncompleteFunctions:
     def test_kolmogorov_sf(self):
         for t in [0.3, 0.5, 1.0, 1.5, 2.0]:
             assert kolmogorov_sf(t) == pytest.approx(special.kolmogorov(t), abs=1e-12)
+        # small t, where 1 - Q(t) falls below 1e-200 and an alternating series
+        # of 100 terms has not converged
+        for t in [1e-3, 5e-3, 0.01, 0.02, 0.03, 0.05, 0.1, 0.2]:
+            assert kolmogorov_sf(t) == pytest.approx(special.kolmogorov(t), abs=1e-15)
         assert kolmogorov_sf(0.0) == 1.0
         assert math.isnan(kolmogorov_sf(math.nan))
 
@@ -371,7 +375,7 @@ class TestInPlaceKernels:
         base, counter = np.uint64(0x9E3779B97F4A7C15), np.uint64(2**64 - 3)
         offsets = np.arange(1, 10**5 + 1, dtype=np.uint64)
         # one stream; a stream per row; stream keys gathered per word
-        bases = StreamBatch.children(RandomStream(5, 1), 0, 50).bases
+        bases = StreamBatch.children(RandomStream(5, 1), 50).bases
         counters = np.arange(50, dtype=np.uint64) * np.uint64(7)
         owner = np.repeat(np.arange(50), 40)
         per_word = np.stack([offsets[: owner.size], offsets[: owner.size] + np.uint64(3)])
@@ -452,7 +456,8 @@ class TestRandomStream:
         kids = [parent.child(i) for i in range(4, 9)]
         kids[1].uniforms(7)
         batch = StreamBatch([k._base for k in kids], [k.counter for k in kids])
-        fresh = StreamBatch.children(parent, 4, 9)
+        every = StreamBatch.children(parent, 9)
+        fresh = StreamBatch(every.bases[4:], every.counters[4:])
         assert np.array_equal(fresh.bases, batch.bases)
         normals, uniforms = batch.std_normals(6), batch.uniforms_open(3)
         assert np.array_equal(fresh.std_normals(6)[0], normals[0])

@@ -245,7 +245,7 @@ class TestBankSampler:
         # the step that shape 0.3 forces
         bank = make_sampler_bank(np.array([0.3, 1.0, 1.0, 2.5, 1.0]), np.array([1.0, 2.0, 0.5, 1.0, 3.0]), 0)
         root = RandomStream(12, 5)
-        rows = StreamBatch.children(root, 0, 40)
+        rows = StreamBatch.children(root, 40)
         together = bank.draw_streams(rows)
         assert together.trials.max() >= 2
         for g in range(40):

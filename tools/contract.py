@@ -60,6 +60,11 @@ COMMANDS = {
     "fit-conjugate-score": [*_FIT, "--estimator", "score_function", "--out", "{out}"],
     "fit-conjugate-importance": [*_FIT, "--estimator", "importance", "--out", "{out}"],
     "fit-def": ["fit", "--model", "def", "--iterations", "50", "--seed", "21", "--out", "{out}"],
+    # long enough for trace_stability to judge its full 1000-iteration span
+    "fit-def-stable": [
+        "fit", "--model", "def", "--layers", "2", "--n-obs", "5", "--n-dim", "4", "--iterations", "1000",
+        "--elbo-draws", "20", "--seed", "23", "--out", "{out}",
+    ],
 }
 
 
