@@ -283,15 +283,18 @@ def _glr_psi(eps, alpha, psi_alpha, s, y, h, ha):
     return out
 
 
-# Latent draws per chunk of rows: of replicates in variance_profile, of
-# draws in estimate_elbo's model calls. It bounds the chunk's memory;
-# results do not depend on it, because every replicate draws from its own
-# stream and the model evaluates each row on its own.
+# Latent draws per chunk of draws in estimate_elbo's model calls: it
+# bounds the model's temporaries, which on the DEF cost page faults past
+# this size. Results do not depend on it: the model evaluates each row on
+# its own.
 _CHUNK_DRAWS = 2**13
 
-
-def _rows_per_chunk(model) -> int:
-    return max(1, _CHUNK_DRAWS // model.n_latents)
+# Most latent draws per pass of variance_profile's replicates through the
+# estimate pipeline. Each pass pays the pipeline's few hundred numpy calls
+# once, so the pass is as wide as memory allows; results do not depend on
+# it, because every replicate draws from its own stream and every kernel
+# acts row by row.
+_PROFILE_DRAWS = 2**15
 
 
 def _log_simplex(log_z, out=None):
@@ -437,8 +440,7 @@ def _draw_importance(state, banks, rows):
         inside = y > 0.0
         valid &= inside.all(axis=1)
         y = np.where(inside, y, 1.0)
-        aug_u = rows.uniforms_open(bank.max_b * bank.size).reshape(n_rows, bank.max_b, bank.size)
-        h, aug_dsum, log_z = _draw_tail(bank, y, aug_u)
+        h, aug_dsum, log_z = _draw_tail(bank, y, rows)
         # rows past the boundary accumulate a finite value that is never used
         log_w += _log_ratio(eps, y, bank.eff_shapes, bank.log_M).sum(axis=1)
         draws.append((eps, h, aug_dsum))
@@ -527,8 +529,10 @@ def variance_profile(model, theta, cfg, G: int, stream: RandomStream) -> Varianc
 
     Replicate g draws from the child stream stream.child(g), so profiles
     are reproducible; `stream` itself is not advanced. The replicates are
-    evaluated together, in chunks of about _CHUNK_DRAWS latent draws, and
-    each one's total is bit-identical to
+    evaluated together, in the fewest passes of at most _PROFILE_DRAWS
+    latent draws, split into chunks of equal size (the last may be
+    smaller), so a pass's working memory stays bounded whatever G is.
+    Each replicate's total is bit-identical to
     estimate(model, theta, cfg, stream.child(g)).total.
     """
     G = int(G)
@@ -536,7 +540,8 @@ def variance_profile(model, theta, cfg, G: int, stream: RandomStream) -> Varianc
         raise ContractError("variance_profile needs G >= 2 replicates")
     state = ThetaState(model, theta)
     banks = state.banks(cfg.aug_b)
-    per_chunk = _rows_per_chunk(model)
+    passes = -(-G // max(1, _PROFILE_DRAWS // model.n_latents))
+    per_chunk = -(-G // passes)
     children = StreamBatch.children(stream, G)
     totals = np.empty((G, state.n_params))
     for lo in range(0, G, per_chunk):
@@ -570,7 +575,7 @@ def estimate_elbo(
     log_zs = [bank.draw_batch(stream, n_draws).log_z for bank in state.banks(0)]
     lz = _log_latents(state, log_zs)
     # the model runs on chunks of rows, which bounds its temporaries
-    per_chunk = _rows_per_chunk(model)
+    per_chunk = max(1, _CHUNK_DRAWS // model.n_latents)
     f = np.concatenate([model.log_joint_batch(lz[lo : lo + per_chunk]) for lo in range(0, n_draws, per_chunk)])
     elbo = float(np.mean(f)) + state.entropy
     if not math.isfinite(elbo):

@@ -237,24 +237,28 @@ def _draw_rows(bank: SamplerBank, streams: StreamBatch, reps: int = 1):
     stream s are s * reps to (s + 1) * reps - 1. The bank's parameters
     broadcast as (size,) rows against them.
     """
-    k = bank.size
     eps, trials = _rejection_rounds(bank, streams, reps)
-    max_b = bank.max_b
-    aug_u = streams.uniforms_open(max_b * reps * k).reshape(streams.size, max_b, reps, k)
-    # (streams, reps, max_b, k): row j of the augmentation is aug_u[..., j, :]
-    aug_u = aug_u.swapaxes(1, 2)
     y = 1.0 + eps / bank.cube_scale
-    return (eps, *_draw_tail(bank, y, aug_u), trials)
+    return (eps, *_draw_tail(bank, y, streams, reps), trials)
 
 
-def _draw_tail(bank: SamplerBank, y: np.ndarray, aug_u: np.ndarray):
+def _draw_tail(bank: SamplerBank, y: np.ndarray, streams: StreamBatch, reps: int = 1):
     """(h, aug_dsum, log_z) of draws whose cube runs at y = 1 + eps/s.
 
-    y is (rows, bank.size), and `aug_u` holds each row's max_b rows of
-    augmentation uniforms on its second-to-last axis (see `_augment`).
+    y is (streams * reps, bank.size). Each stream then gives max_b rows of
+    augmentation uniforms over its reps * bank.size elements. A bank with
+    no augmentation rows (max_b == 0) takes no words: its product is
+    empty, ln 1 = 0.0 with a zero derivative.
     """
     h = _h(bank.eff_shapes, y)
-    log_prod_u, aug_dsum = (a.reshape(y.shape) for a in _augment(bank.shapes, bank.b_steps, aug_u))
+    k, max_b = bank.size, bank.max_b
+    if max_b:
+        aug_u = streams.uniforms_open(max_b * reps * k).reshape(streams.size, max_b, reps, k)
+        # (streams, reps, max_b, k): row j of the augmentation is aug_u[..., j, :]
+        aug = _augment(bank.shapes, bank.b_steps, aug_u.swapaxes(1, 2))
+        log_prod_u, aug_dsum = (a.reshape(y.shape) for a in aug)
+    else:
+        log_prod_u, aug_dsum = 0.0, np.zeros(y.shape)
     log_z = np.log(h) + log_prod_u - np.log(bank.rates)
     return h, aug_dsum, log_z
 

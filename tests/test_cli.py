@@ -469,6 +469,6 @@ class TestContract:
             [sys.executable, "tools/contract.py", str(tmp_path)], cwd=root, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        assert len(list(tmp_path.iterdir())) == 67
+        assert len(list(tmp_path.iterdir())) == 71
         exits = list(tmp_path.glob("*.exit"))
-        assert len(exits) == 16 and all(path.read_text() == "0\n" for path in exits)
+        assert len(exits) == 17 and all(path.read_text() == "0\n" for path in exits)

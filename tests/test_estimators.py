@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,11 +19,13 @@ from rsvi.estimators import (
 from rsvi.exceptions import ContractError, DomainError
 from rsvi.mathcore import RandomStream, finite_diff_grad, trigamma
 from rsvi.models import (
+    ConjugateModel,
     LatentBlock,
     ModelSpec,
     SparseGammaDEF,
     conjugate_elbo_exact,
     conjugate_exact_elbo_grad,
+    conjugate_model_spec,
     def_model_spec,
     make_synthetic_def_data,
 )
@@ -255,8 +258,10 @@ class TestReplicateBatch:
             spec = request.getfixturevalue("def_small_spec")
             theta = default_theta_init(spec)
         cfg = EstimatorConfig(kind, aug_b=B, draws=draws)
-        # one chunk boundary falls inside the batch
-        G = estimators._CHUNK_DRAWS // spec.n_latents + 3
+        # a budget of 8 rows per pass splits 20 replicates into three passes
+        # of 7, 7 and 6, so two chunk boundaries fall inside the batch
+        monkeypatch.setattr(estimators, "_PROFILE_DRAWS", 8 * spec.n_latents)
+        G = 20
         root = RandomStream(61, 2)
         loop = np.array([estimate(spec, theta, cfg, root.child(g)).total for g in range(G)])
 
@@ -270,13 +275,56 @@ class TestReplicateBatch:
 
         monkeypatch.setattr(estimators, "_estimate_rows", recording)
         prof = variance_profile(spec, theta, cfg, G, root)
-        assert [c.shape[0] for c in chunks] == [G - 3, 3]
+        assert [c.shape[0] for c in chunks] == [7, 7, 6]
         assert np.array_equal(np.concatenate(chunks), loop)
         assert np.array_equal(prof.means, loop.mean(axis=0))
         variances = loop.var(axis=0, ddof=1)
         variances[np.ptp(loop, axis=0) == 0.0] = 0.0
         assert np.array_equal(prof.variances, variances)
         assert root.counter == 0
+
+    @staticmethod
+    def _k100_spec():
+        # criterion 4's variance-study instance: K=100, uniform prior, 100 trials
+        rng = np.random.default_rng(20170211)
+        counts = rng.multinomial(100, rng.dirichlet(np.ones(100)))
+        return conjugate_model_spec(ConjugateModel(np.ones(100), counts))
+
+    @pytest.mark.parametrize("G, passes", [(250, [250]), (1000, [250] * 4)])
+    def test_k100_profile_runs_in_equal_passes(self, monkeypatch, G, passes):
+        # 2**15 // 100 = 327 replicates at most per pass: G = 250 is one
+        # pass, and G = 1000 needs four, of 250 each
+        spec = self._k100_spec()
+        sizes = []
+        batch_rows = estimators._estimate_rows
+
+        def recording(cfg, state, banks, rows):
+            sizes.append(rows.size)
+            return batch_rows(cfg, state, banks, rows)
+
+        monkeypatch.setattr(estimators, "_estimate_rows", recording)
+        variance_profile(spec, np.ones(100), EstimatorConfig("rsvi", aug_b=4), G, RandomStream(404, 0))
+        assert sizes == passes
+
+    @pytest.mark.parametrize("kind, B", [("rsvi", 4), ("score_function", 0), ("importance", 1)])
+    def test_k100_profile_memory_is_bounded_in_G(self, kind, B):
+        # the working memory of a pass does not grow with G: at 4 passes the
+        # peak exceeds the one-pass peak by no more than 10% beyond what G
+        # itself must hold, each replicate's total (n_params doubles) and
+        # its child stream's key and counter (two uint64)
+        spec = self._k100_spec()
+        most = estimators._PROFILE_DRAWS // spec.n_latents
+        cfg = EstimatorConfig(kind, aug_b=B)
+        working = []
+        for G in (most, 4 * most):
+            tracemalloc.start()
+            try:
+                variance_profile(spec, np.ones(100), cfg, G, RandomStream(5, 0))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            working.append(peak - G * (8 * spec.n_latents + 16))
+        assert working[1] <= 1.1 * working[0]
 
 
 class TestModelCallbacks:

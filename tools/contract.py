@@ -29,6 +29,8 @@ import sys
 
 _FIT = ["fit", "--iterations", "100", "--seed", "19"]
 _ESTIMATORS = ["--estimators", "rsvi,score_function,importance"]
+# a K=100 conjugate model: uniform prior, 100 trials over alternate components
+_K100 = ["--prior", ",".join(["1"] * 100), "--counts", ",".join(["2", "0"] * 50)]
 
 # name -> arguments; "{out}" stands for the command's name, the stem of its
 # output files
@@ -55,6 +57,12 @@ COMMANDS = {
     "gradcheck-conjugate": ["gradcheck", "--seed", "5"],
     "gradcheck-def": ["gradcheck", "--model", "def", "--seed", "5"],
     "variance-conjugate": ["variance", *_ESTIMATORS, "--b", "0,1,4", "--g", "150", "--seed", "17", "--out", "{out}.csv"],
+    # 700 replicates of 100 latents cross chunk boundaries whether a pass
+    # holds 2**13 or 2**15 latent draws
+    "variance-k100": [
+        "variance", *_K100, "--estimators", "rsvi,importance,score_function", "--b", "1", "--g", "700",
+        "--seed", "20", "--out", "{out}.csv",
+    ],
     "variance-def": ["variance", "--model", "def", *_ESTIMATORS, "--g", "60", "--seed", "18", "--out", "{out}.csv"],
     "fit-conjugate-rsvi": [*_FIT, "--estimator", "rsvi", "--out", "{out}"],
     "fit-conjugate-score": [*_FIT, "--estimator", "score_function", "--out", "{out}"],
