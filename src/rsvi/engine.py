@@ -100,10 +100,24 @@ def step_size(state: OptimizerState, g: np.ndarray):
     if g.shape != state.s.shape or not np.all(np.isfinite(g)):
         raise DomainError("step_size requires a finite gradient of matching shape")
     t = STEP_MOMENT_WEIGHT
-    s = g * g if state.n == 1 else t * (g * g) + (1.0 - t) * state.s
+    # a gradient entry above about 1.3e154 squares to inf; s = inf gives
+    # rho = 0, the schedule's own limit at such a gradient
+    with np.errstate(over="ignore"):
+        s = g * g if state.n == 1 else t * (g * g) + (1.0 - t) * state.s
     rho = state.eta * float(state.n) ** (-0.5 + STEP_DELTA) / (1.0 + np.sqrt(s))
     nxt = OptimizerState(n=state.n + 1, s=s, eta=state.eta)
     return rho, nxt
+
+
+def _norm(v) -> float:
+    """np.linalg.norm of a finite vector, redone on v / max|v| where the sum
+    of squares overflows; a finite norm keeps its bits."""
+    with np.errstate(over="ignore"):
+        out = float(np.linalg.norm(v))
+    if math.isinf(out):
+        top = float(np.max(np.abs(v)))
+        out = top * float(np.linalg.norm(v / top))
+    return out
 
 
 @dataclass(frozen=True)
@@ -199,8 +213,8 @@ def run_rsvi(model, theta_init, cfg: RunConfig, stream: RandomStream):
             TraceRecord(
                 iteration=it,
                 elbo=elbo,
-                step_norm=float(np.linalg.norm(rho)),
-                grad_norm=float(np.linalg.norm(g_phi)),
+                step_norm=_norm(rho),
+                grad_norm=_norm(g_phi),
                 wall_clock=time.perf_counter() - start,
                 trials=est.trials,
                 accept_rate=n_latents * est.draws / est.trials if est.trials else 1.0,

@@ -322,24 +322,30 @@ def _log_latents(state, log_zs):
     return lz
 
 
+def _log_joint_values(f, n):
+    """The model's log-joint batch as n floats; DomainError for another shape."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != (n,):
+        raise DomainError(f"estimate rejected: log-joint batch has shape {f.shape}, expected ({n},)")
+    return f
+
+
 def _eval_model(model, lz, with_grad=True):
     """log p and, if with_grad, d log p / d log z at every row of `lz`: one
-    batch callback (pair) for the whole matrix; the gradient is None
-    without with_grad.
+    batch callback for the whole matrix, asked for the gradient only when
+    it is needed; the gradient is None without with_grad.
 
     A bad row raises DomainError as a row-by-row evaluation would: the
     first row whose log-joint or gradient is bad, its log-joint first.
     """
     n = lz.shape[0]
-    f = np.asarray(model.log_joint_batch(lz), dtype=float)
-    if f.shape != (n,):
-        raise DomainError(f"estimate rejected: log-joint batch has shape {f.shape}, expected ({n},)")
+    f, gf = model.log_joint_batch(lz, grad=True) if with_grad else (model.log_joint_batch(lz), None)
+    f = _log_joint_values(f, n)
     finite = np.isfinite(f)
     bad_f = n if finite.all() else int(np.argmin(finite))
-    gf = None
     bad_g = n
     if with_grad:
-        gf = np.asarray(model.grad_latents_batch(lz), dtype=float)
+        gf = np.asarray(gf, dtype=float)
         if gf.shape != lz.shape:
             bad_g = 0
         else:
@@ -576,7 +582,8 @@ def estimate_elbo(
     lz = _log_latents(state, log_zs)
     # the model runs on chunks of rows, which bounds its temporaries
     per_chunk = max(1, _CHUNK_DRAWS // model.n_latents)
-    f = np.concatenate([model.log_joint_batch(lz[lo : lo + per_chunk]) for lo in range(0, n_draws, per_chunk)])
+    chunks = [lz[lo : lo + per_chunk] for lo in range(0, n_draws, per_chunk)]
+    f = np.concatenate([_log_joint_values(model.log_joint_batch(c), len(c)) for c in chunks])
     elbo = float(np.mean(f)) + state.entropy
     if not math.isfinite(elbo):
         raise DomainError(f"ELBO estimate is non-finite ({elbo!r})")

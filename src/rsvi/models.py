@@ -1,10 +1,11 @@
 """Target models: the conjugate Dirichlet-multinomial and a sparse gamma DEF.
 
-Both expose a ModelSpec: a latent layout plus two batch callbacks, the
-log-joint and its hand-derived latent gradient, each evaluated on a matrix
-of log-latent rows at once. The conjugate model additionally carries an
-exact posterior and an analytic objective gradient, which is what makes it
-the oracle for estimator unbiasedness and end-to-end convergence checks.
+Both expose a ModelSpec: a latent layout plus one batch callback that
+evaluates the log-joint, and on request its hand-derived latent gradient in
+the same pass, on a matrix of log-latent rows at once. The conjugate model
+additionally carries an exact posterior and an analytic objective gradient,
+which is what makes it the oracle for estimator unbiasedness and end-to-end
+convergence checks.
 """
 
 from __future__ import annotations
@@ -50,23 +51,19 @@ class ModelSpec:
 
     Latents are passed in log space, one point per row: a row is the flat
     vector of log latents (blocks concatenated in layout order; Dirichlet
-    blocks hold the logs of the simplex coordinates). `log_joint_batch`
-    maps an (n, n_latents) matrix to the n values log p(x, z), and
-    `grad_latents_batch` to the (n, n_latents) rows d log p / d log z.
-    Row i of an n-row batch must equal the one-row batch of that row bit
-    for bit, since the estimators evaluate a matrix of replicates at once
-    and each replicate must match its lone estimate. Both must accept
-    points slightly off the simplex: finite differences and the
-    normalization chain rule probe there. Log latents keep draws whose
-    value lies below the smallest double (tiny gamma shapes) finite.
+    blocks hold the logs of the simplex coordinates). `log_joint_batch(lz)`
+    maps an (n, n_latents) matrix to the n values log p(x, z);
+    `log_joint_batch(lz, grad=True)` returns those values and the
+    (n, n_latents) rows d log p / d log z from one pass. Row i of either
+    output must equal the one-row batch of that row bit for bit, since the
+    estimators evaluate a matrix of replicates at once and each replicate
+    must match its lone estimate. The callback must accept points slightly
+    off the simplex: finite differences and the normalization chain rule
+    probe there. Log latents keep draws whose value lies below the smallest
+    double (tiny gamma shapes) finite.
     """
 
-    def __init__(
-        self,
-        latent_layout: Sequence[LatentBlock],
-        log_joint_batch: Callable[[np.ndarray], np.ndarray],
-        grad_latents_batch: Callable[[np.ndarray], np.ndarray],
-    ):
+    def __init__(self, latent_layout: Sequence[LatentBlock], log_joint_batch: Callable):
         layout = tuple(latent_layout)
         if not layout:
             raise DomainError("ModelSpec needs at least one latent block")
@@ -80,7 +77,6 @@ class ModelSpec:
                 raise DomainError(f"bad dimension for block {b.name!r}: {b.dim}")
         self.latent_layout = layout
         self.log_joint_batch = log_joint_batch
-        self.grad_latents_batch = grad_latents_batch
 
     @property
     def n_latents(self) -> int:
@@ -117,7 +113,7 @@ class ModelSpec:
         errors = []
         for _ in range(20):
             z = self.random_interior_point(stream)
-            g = np.asarray(self.grad_latents_batch(z[None]), dtype=float)[0]
+            g = np.asarray(self.log_joint_batch(z[None], grad=True)[1], dtype=float)[0]
             fd = finite_diff_grad(lambda v: float(self.log_joint_batch(v[None])[0]), z, 1e-6)
             errors.append(_rel_err(fd, g))
         # np.max, not max(): a NaN error makes the worst error NaN
@@ -221,22 +217,17 @@ def conjugate_model_spec(m: ConjugateModel) -> ModelSpec:
     c = _conjugate_coeffs(m)
     const = _conjugate_const(m)
 
-    def _check(lz):
-        lz = np.ascontiguousarray(lz, dtype=float)
+    def log_joint_batch(lzmat, grad=False):
+        lz = np.ascontiguousarray(lzmat, dtype=float)
         if lz.ndim != 2 or lz.shape[-1] != m.dim:
             raise DomainError(f"log latents must have {m.dim} entries per row, got shape {lz.shape}")
         if not np.isfinite(lz).all():
             raise DomainError("log-joint needs finite log latents")
-        return lz
+        f = np.vecdot(lz, c) + const
+        # the gradient is a read-only view: every row is c
+        return (f, np.broadcast_to(c, lz.shape)) if grad else f
 
-    def log_joint_batch(lzmat):
-        return np.vecdot(_check(lzmat), c) + const
-
-    def grad_latents_batch(lzmat):
-        # a read-only view: every row is c
-        return np.broadcast_to(c, _check(lzmat).shape)
-
-    return ModelSpec(layout, log_joint_batch, grad_latents_batch)
+    return ModelSpec(layout, log_joint_batch)
 
 
 # --- sparse gamma deep exponential family ---------------------------------------
@@ -309,12 +300,12 @@ def _flat_rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(a.shape[0], math.prod(a.shape[1:]))
 
 
-def _gamma_logpdf_stack(lz: np.ndarray, shape: float, log_rate, lg_shape: float) -> np.ndarray:
+def _gamma_logpdf_stack(lz: np.ndarray, shape: float, log_rate, lg_shape: float):
     """Per-draw sum of elementwise log Gam(z; shape, rate) over a stack.
 
     Takes lz = ln z and ln rate, so neither z nor the rate has to be
     representable as a double. lz has a leading draw axis; log_rate may be a
-    broadcastable array. Returns one total per draw.
+    broadcastable array. Returns one total per draw, and z * rate in lz's shape.
     """
     # a latent far above its mean overflows to inf here, and the log-joint
     # to -inf: the draw is rejected as impossible
@@ -323,7 +314,7 @@ def _gamma_logpdf_stack(lz: np.ndarray, shape: float, log_rate, lg_shape: float)
     per_elem = (shape - 1.0) * lz - z_rate + shape * log_rate - lg_shape
     # finite terms near the largest double can still sum past it, to -inf
     with np.errstate(over="ignore"):
-        return _flat_rows(per_elem).sum(axis=1)
+        return _flat_rows(per_elem).sum(axis=1), z_rate
 
 
 # shifted products at or above this are exact to rounding (their largest term
@@ -351,73 +342,63 @@ def _log_matmul(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
     return out
 
 
-def _def_log_joint_stack(m: SparseGammaDEF, lzs, lws) -> np.ndarray:
+def _def_log_joint_stack(m: SparseGammaDEF, lzs, lws, grad=False):
     """Batched log p(x, z, w) from log latents: Poisson likelihood, layer
-    conditionals and priors.
+    conditionals and priors; with grad, also d log p / d ln z and
+    d log p / d ln w, from the same rates and layer means.
 
     lzs[l] is (n, n_obs, K_l) and lws[l] is (n, ...): logs of the latents
     and weights. Poisson rates and layer means are formed by log-sum-exp.
     Rates are floored at POISSON_RATE_FLOOR inside the log; an exactly zero
-    rate against a positive count gives -inf.
+    rate against a positive count gives -inf. Returns the n totals, or with
+    grad the totals and the (n, n_latents) gradient rows, blocks ordered
+    z1..zL then w0..w(L-1). Each gradient path through a rate or a layer
+    mean carries its responsibility z_ik w_kj / (z w)_ij, which stays in
+    (0, 1] in log space.
     """
     x = m.data.astype(float)
     log_lam = _log_matmul(lzs[0], lws[0])
     lam = np.exp(log_lam)
     bad = ((lam == 0.0) & (x > 0)).any(axis=(1, 2))
-    log_lam_safe = np.maximum(log_lam, _LOG_RATE_FLOOR)
-    total = _flat_rows(x * log_lam_safe - lam).sum(axis=1) + m._poisson_const
+    above = log_lam >= _LOG_RATE_FLOOR
+    total = _flat_rows(x * np.where(above, log_lam, _LOG_RATE_FLOOR) - lam).sum(axis=1) + m._poisson_const
+    if grad:
+        gz = [np.zeros_like(lz) for lz in lzs]
+        gw = [np.zeros_like(lw) for lw in lws]
+        # d/d ln lam of x ln max(lam, floor) - lam: x - lam at or above the
+        # floor, -lam below it, where the log term is the constant x ln floor
+        dlam = np.where(above, x, 0.0) - lam
+        resp = np.exp(lzs[0][..., :, :, None] + lws[0][..., None, :, :] - log_lam[..., :, None, :])
+        weighted = resp * dlam[..., :, None, :]
+        gz[0] += weighted.sum(axis=-1)
+        gw[0] += weighted.sum(axis=-3)
     az = m.alpha_z
     for l in range(m.n_layers - 1):
         log_mean = _log_matmul(lzs[l + 1], np.swapaxes(lws[l + 1], -1, -2))
-        total += _gamma_logpdf_stack(lzs[l], az, math.log(az) - log_mean, m._lg_alpha_z)
+        # z_rate is finite wherever the log-joint is, and inf only where that is -inf
+        part, z_rate = _gamma_logpdf_stack(lzs[l], az, math.log(az) - log_mean, m._lg_alpha_z)
+        total += part
+        if grad:
+            gz[l] += (az - 1.0) - z_rate
+            # d/d ln mean of [az ln(az/mean) - (az/mean) z] = az z/mean - az
+            resp = np.exp(lzs[l + 1][..., :, None, :] + lws[l + 1][..., None, :, :] - log_mean[..., :, :, None])
+            weighted = resp * (z_rate - az)[..., :, :, None]
+            gz[l + 1] += weighted.sum(axis=-2)
+            gw[l + 1] += weighted.sum(axis=-3)
     ta, tb = m.top_prior
-    total += _gamma_logpdf_stack(lzs[-1], ta, math.log(tb), m._lg_top)
+    total += _gamma_logpdf_stack(lzs[-1], ta, math.log(tb), m._lg_top)[0]
     wa, wb = m.weight_prior
     for lw in lws:
-        total += _gamma_logpdf_stack(lw, wa, math.log(wb), m._lg_weight)
-    if bad.any():
-        total = np.where(bad, -np.inf, total)
-    return total
-
-
-def _def_grad_log_stack(m: SparseGammaDEF, lzs, lws):
-    """Batched d log p / d ln z and d log p / d ln w from log latents.
-
-    lzs and lws are laid out as in _def_log_joint_stack, with a leading
-    draw axis; the gradients come back in the same shapes. Each path
-    through a rate or a layer mean carries its responsibility
-    z_ik w_kj / (z w)_ij, which stays in (0, 1] in log space.
-    """
-    x = m.data.astype(float)
-    gz = [np.zeros_like(lz) for lz in lzs]
-    gw = [np.zeros_like(lw) for lw in lws]
-    log_lam = _log_matmul(lzs[0], lws[0])
-    # d/d ln lam of x ln max(lam, floor) - lam: x - lam at or above the
-    # floor, -lam below it, where the log term is the constant x ln floor
-    dlam = np.where(log_lam >= _LOG_RATE_FLOOR, x, 0.0) - np.exp(log_lam)
-    resp = np.exp(lzs[0][..., :, :, None] + lws[0][..., None, :, :] - log_lam[..., :, None, :])
-    weighted = resp * dlam[..., :, None, :]
-    gz[0] += weighted.sum(axis=-1)
-    gw[0] += weighted.sum(axis=-3)
-    az = m.alpha_z
-    for l in range(m.n_layers - 1):
-        log_mean = _log_matmul(lzs[l + 1], np.swapaxes(lws[l + 1], -1, -2))
-        # z times the rate az/mean, formed as the log-joint forms it: it is
-        # finite wherever the log-joint is, and inf only where that is -inf
-        with np.errstate(over="ignore"):
-            z_rate = np.exp(lzs[l] + (math.log(az) - log_mean))
-        gz[l] += (az - 1.0) - z_rate
-        # d/d ln mean of [az ln(az/mean) - (az/mean) z] = az z/mean - az
-        resp = np.exp(lzs[l + 1][..., :, None, :] + lws[l + 1][..., None, :, :] - log_mean[..., :, :, None])
-        weighted = resp * (z_rate - az)[..., :, :, None]
-        gz[l + 1] += weighted.sum(axis=-2)
-        gw[l + 1] += weighted.sum(axis=-3)
-    ta, tb = m.top_prior
+        total += _gamma_logpdf_stack(lw, wa, math.log(wb), m._lg_weight)[0]
+    total[bad] = -np.inf
+    if not grad:
+        return total
+    # z * rate as tb * e^lz, not the log-joint's e^(lz + ln tb): the two
+    # differ in the last bits
     gz[-1] += (ta - 1.0) - tb * np.exp(lzs[-1])
-    wa, wb = m.weight_prior
     for l in range(m.n_layers):
         gw[l] += (wa - 1.0) - wb * np.exp(lws[l])
-    return gz, gw
+    return total, np.concatenate([_flat_rows(g) for g in gz + gw], axis=1)
 
 
 def def_model_spec(m: SparseGammaDEF) -> ModelSpec:
@@ -446,14 +427,10 @@ def def_model_spec(m: SparseGammaDEF) -> ModelSpec:
             pos += size
         return parts[: m.n_layers], parts[m.n_layers :]
 
-    def log_joint_batch(vmat):
-        return _def_log_joint_stack(m, *unpack(vmat))
+    def log_joint_batch(vmat, grad=False):
+        return _def_log_joint_stack(m, *unpack(vmat), grad=grad)
 
-    def grad_latents_batch(vmat):
-        gz, gw = _def_grad_log_stack(m, *unpack(vmat))
-        return np.concatenate([_flat_rows(g) for g in gz + gw], axis=1)
-
-    return ModelSpec(spec_layout, log_joint_batch, grad_latents_batch)
+    return ModelSpec(spec_layout, log_joint_batch)
 
 
 def _poisson_draw(lam: float, stream: RandomStream) -> int:

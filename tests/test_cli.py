@@ -263,12 +263,15 @@ class TestGradcheck:
         def wrong_gradient(cfg):
             model, spec = spec_for(cfg)
 
-            def corrupted(lz):
-                g = np.array(spec.grad_latents_batch(lz))
+            def corrupted(lz, grad=False):
+                if not grad:
+                    return spec.log_joint_batch(lz)
+                f, g = spec.log_joint_batch(lz, grad=True)
+                g = np.array(g)
                 g[:, 0] = np.nan if corrupt == "nan" else g[:, 0] + 1.0 + abs(g[:, 0])
-                return g
+                return f, g
 
-            return model, ModelSpec(spec.latent_layout, spec.log_joint_batch, corrupted)
+            return model, ModelSpec(spec.latent_layout, corrupted)
 
         monkeypatch.setattr(cli, "_spec_for", wrong_gradient)
         assert run_cli("gradcheck", "--seed", "3") == 1
@@ -360,6 +363,22 @@ class TestFit:
         lines = proc.stderr.splitlines()
         assert lines and all(line.startswith("numerical failure at iteration ") for line in lines), lines
 
+    def test_huge_finite_gradient_is_strict_json(self, tmp_path):
+        # iteration 8 of this fit has a finite gradient whose sum of squares
+        # overflows: its grad_norm is about 2.1e194, not Infinity, and the
+        # step schedule's g * g raises no warning
+        def no_constant(name):
+            raise ValueError(f"not JSON: {name}")
+
+        out = tmp_path / "huge"
+        code = run_cli("fit", "--model", "def", "--layers", "4,3,2", "--n-obs", "8", "--n-dim", "6",
+                       "--iterations", "100", "--elbo-draws", "20", "--seed", "24", "--out", str(out))
+        assert code == 4
+        lines = (tmp_path / "huge.trace.jsonl").read_text().splitlines()
+        records = [json.loads(line, parse_constant=no_constant) for line in lines]
+        assert records[8]["iteration"] == 8
+        assert records[8]["grad_norm"] == pytest.approx(2.0987e194, rel=1e-4)
+
     def test_conjugate_fit_outputs(self, tmp_path):
         out = tmp_path / "run"
         assert run_cli("fit", "--model", "conjugate", "--iterations", "150",
@@ -433,13 +452,13 @@ class TestFit:
         def spec_with_failing_elbo(model):
             spec = real_spec(model)
 
-            def failing_batch(lzmat):
+            def failing_batch(lzmat, grad=False):
                 # the ELBO's matrices of --elbo-draws rows; an estimate's has one row
                 if lzmat.shape[0] == 2:
                     raise DomainError("ELBO estimate is non-finite (nan)")
-                return spec.log_joint_batch(lzmat)
+                return spec.log_joint_batch(lzmat, grad=grad)
 
-            return ModelSpec(spec.latent_layout, failing_batch, spec.grad_latents_batch)
+            return ModelSpec(spec.latent_layout, failing_batch)
 
         monkeypatch.setattr(cli, "conjugate_model_spec", spec_with_failing_elbo)
         out = tmp_path / "numeric"
@@ -469,6 +488,6 @@ class TestContract:
             [sys.executable, "tools/contract.py", str(tmp_path)], cwd=root, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        assert len(list(tmp_path.iterdir())) == 71
+        assert len(list(tmp_path.iterdir())) == 79
         exits = list(tmp_path.glob("*.exit"))
-        assert len(exits) == 17 and all(path.read_text() == "0\n" for path in exits)
+        assert len(exits) == 19 and all(path.read_text() == "0\n" for path in exits)

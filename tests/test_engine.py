@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from rsvi.distributions import DirichletParams, dirichlet_kl
 from rsvi.engine import (
     OptimizerState,
+    _norm,
     RunConfig,
     TraceRecord,
     init_optimizer,
@@ -83,6 +84,26 @@ class TestStepSize:
         rho, nxt = step_size(state, np.array([2.0]))
         assert nxt.s[0] == pytest.approx(0.1 * 4.0 + 0.9 * 4.0)
 
+    def test_squared_gradient_past_the_largest_double(self):
+        # g^2 overflows to s = inf, and rho = 0 there: the schedule's limit as
+        # g grows. The other coordinates step as usual, and no warning is raised
+        state = init_optimizer(1.0, 3)
+        rho, state = step_size(state, np.array([2e194, 3.0, -1e160]))
+        assert rho.tolist() == [0.0, 0.25, 0.0]
+        rho, state = step_size(state, np.array([1.0, 1.0, 1.0]))
+        assert rho[0] == rho[2] == 0.0 and rho[1] > 0.0
+
+
+def test_norm_of_a_finite_vector_past_the_largest_double():
+    # finite norms are np.linalg.norm's own; an overflowing sum of squares is
+    # redone on the vector scaled by its largest entry
+    rng = np.random.default_rng(5)
+    for scale in (1e-300, 1.0, 1e150):
+        v = rng.normal(0.0, scale, 40)
+        assert _norm(v) == float(np.linalg.norm(v))
+    assert _norm(np.array([3e200, -4e200])) == pytest.approx(5e200, rel=1e-15)
+    assert _norm(np.array([2e194, 1.0])) == 2e194
+
 
 class TestRunRsvi:
     def test_zero_iterations(self, conj5_spec):
@@ -135,13 +156,12 @@ class TestRunRsvi:
     def test_abort_after_three_failures(self):
         calls = {"n": 0}
 
-        def log_joint_batch(lz):
+        def log_joint_batch(lz, grad=False):
             calls["n"] += 1
-            return np.full(len(lz), np.nan)
+            f = np.full(len(lz), np.nan)
+            return (f, np.zeros((len(lz), 1))) if grad else f
 
-        spec = ModelSpec(
-            (LatentBlock("z", "gamma_mean_shape", 1),), log_joint_batch, lambda lz: np.zeros((len(lz), 1))
-        )
+        spec = ModelSpec((LatentBlock("z", "gamma_mean_shape", 1),), log_joint_batch)
         cfg = RunConfig(max_iters=50, elbo_draws=5, stop_tol=None)
         with pytest.raises(OptimizerAbortError) as err:
             run_rsvi(spec, np.array([1.0, 1.0]), cfg, RandomStream(0, 0))
@@ -151,14 +171,13 @@ class TestRunRsvi:
     def test_elbo_failures_abort_instead_of_escaping(self):
         # estimate succeeds, the reported ELBO's model evaluation raises: the
         # fault hits only the ELBO's matrices of elbo_draws rows
-        def failing_batch(lzmat):
+        def failing_batch(lzmat, grad=False):
             if lzmat.shape[0] == 5:
                 raise DomainError("log-joint needs finite log latents")
-            return np.zeros(lzmat.shape[0])
+            f = np.zeros(lzmat.shape[0])
+            return (f, np.zeros((len(lzmat), 1))) if grad else f
 
-        spec = ModelSpec(
-            (LatentBlock("z", "gamma_mean_shape", 1),), failing_batch, lambda lz: np.zeros((len(lz), 1))
-        )
+        spec = ModelSpec((LatentBlock("z", "gamma_mean_shape", 1),), failing_batch)
         cfg = RunConfig(max_iters=50, elbo_draws=5, stop_tol=None)
         with pytest.raises(OptimizerAbortError) as err:
             run_rsvi(spec, np.array([1.0, 1.0]), cfg, RandomStream(0, 0))
@@ -170,15 +189,15 @@ class TestRunRsvi:
     def test_isolated_elbo_failure_skips_its_iteration(self, conj5_spec):
         calls = {"n": 0}
 
-        def flaky_batch(lzmat):
+        def flaky_batch(lzmat, grad=False):
             # the ELBO's matrices have elbo_draws rows; an estimate's has one
             if lzmat.shape[0] == 5:
                 calls["n"] += 1
                 if calls["n"] == 2:
                     raise DomainError("transient")
-            return conj5_spec.log_joint_batch(lzmat)
+            return conj5_spec.log_joint_batch(lzmat, grad=grad)
 
-        spec = ModelSpec(conj5_spec.latent_layout, flaky_batch, conj5_spec.grad_latents_batch)
+        spec = ModelSpec(conj5_spec.latent_layout, flaky_batch)
         cfg = RunConfig(max_iters=5, elbo_draws=5, stop_tol=None)
         _, trace = run_rsvi(spec, default_theta_init(spec), cfg, RandomStream(3, 0))
         assert [r.iteration for r in trace] == [1, 3, 4, 5]
@@ -202,8 +221,7 @@ class TestRunRsvi:
         # a positive, finite theta whose rate shape/mean is inf or 0
         spec = ModelSpec(
             (LatentBlock("z", "gamma_mean_shape", 1),),
-            lambda lz: np.zeros(len(lz)),
-            lambda lz: np.zeros((len(lz), 1)),
+            lambda lz, grad=False: (np.zeros(len(lz)), np.zeros((len(lz), 1))) if grad else np.zeros(len(lz)),
         )
         theta0 = np.array([shape, mean])
         cfg = RunConfig(max_iters=2, elbo_draws=5, stop_tol=None)
@@ -220,16 +238,16 @@ class TestRunRsvi:
         # trace's own records account for about 0.2 MiB of the difference
         seen = {}
 
-        def probing_batch(lzmat):
+        def probing_batch(lzmat, grad=False):
             # the ELBO's matrices of elbo_draws rows only; an estimate's has one row
             if lzmat.shape[0] != 5:
-                return def_small_spec.log_joint_batch(lzmat)
+                return def_small_spec.log_joint_batch(lzmat, grad=grad)
             seen["calls"] = seen.get("calls", 0) + 1
             if seen["calls"] in (100, 400):
                 seen[seen["calls"]] = tracemalloc.get_traced_memory()[0]
-            return def_small_spec.log_joint_batch(lzmat)
+            return def_small_spec.log_joint_batch(lzmat, grad=grad)
 
-        spec = ModelSpec(def_small_spec.latent_layout, probing_batch, def_small_spec.grad_latents_batch)
+        spec = ModelSpec(def_small_spec.latent_layout, probing_batch)
         cfg = RunConfig(
             estimator=EstimatorConfig("rsvi", aug_b=1), eta=0.75, max_iters=400, elbo_draws=5, stop_tol=None
         )

@@ -33,11 +33,10 @@ from rsvi.rejection import log_ratio_q_over_r
 
 
 def flat_model(k=5):
-    return ModelSpec(
-        (LatentBlock("z", "dirichlet", k),),
-        lambda lz: np.zeros(len(lz)),
-        lambda lz: np.zeros((len(lz), k)),
-    )
+    def log_joint_batch(lz, grad=False):
+        return (np.zeros(len(lz)), np.zeros((len(lz), k))) if grad else np.zeros(len(lz))
+
+    return ModelSpec((LatentBlock("z", "dirichlet", k),), log_joint_batch)
 
 
 def gamma_toy_model(c1, c2):
@@ -49,13 +48,21 @@ def gamma_toy_model(c1, c2):
     c1 = np.asarray(c1, dtype=float)
     c2 = np.asarray(c2, dtype=float)
 
-    def log_joint_batch(lz):
-        return np.vecdot(lz, c1) - np.vecdot(np.exp(lz), c2)
+    def log_joint_batch(lz, grad=False):
+        f = np.vecdot(lz, c1) - np.vecdot(np.exp(lz), c2)
+        return (f, c1 - c2 * np.exp(lz)) if grad else f
 
-    def grad(lz):
-        return c1 - c2 * np.exp(lz)
+    return ModelSpec((LatentBlock("z", "gamma_mean_shape", c1.size),), log_joint_batch)
 
-    return ModelSpec((LatentBlock("z", "gamma_mean_shape", c1.size),), log_joint_batch, grad)
+
+def recorded_spec(spec, calls):
+    """spec with its callback appending (rows, grad) to `calls` at every call."""
+
+    def log_joint_batch(lz, grad=False):
+        calls.append((lz.shape[0], grad))
+        return spec.log_joint_batch(lz, grad=grad)
+
+    return ModelSpec(spec.latent_layout, log_joint_batch)
 
 
 def gamma_toy_exact_grad(c1, c2, shapes, means):
@@ -330,14 +337,14 @@ class TestReplicateBatch:
 class TestModelCallbacks:
     @staticmethod
     def _nan_gradient_model(calls):
-        def grad(lz):
+        def log_joint_batch(lz, grad=False):
+            f = -np.exp(lz).sum(axis=1)
+            if not grad:
+                return f
             calls.append(lz)
-            return np.full(lz.shape, np.nan)
+            return f, np.full(lz.shape, np.nan)
 
-        def log_joint_batch(lz):
-            return -np.exp(lz).sum(axis=1)
-
-        return ModelSpec((LatentBlock("z", "gamma_mean_shape", 2),), log_joint_batch, grad)
+        return ModelSpec((LatentBlock("z", "gamma_mean_shape", 2),), log_joint_batch)
 
     def test_score_function_never_asks_for_the_gradient(self):
         calls = []
@@ -364,15 +371,15 @@ class TestModelCallbacks:
         """log-joint 0 and gradient zeros, except -inf and NaN at the rows
         whose first log latent is listed; `width` entries per gradient row."""
 
-        def log_joint_batch(lz):
-            return np.where(np.isin(lz[:, 0], list(bad_f)), -math.inf, 0.0)
-
-        def grad(lz):
+        def log_joint_batch(lz, grad=False):
+            f = np.where(np.isin(lz[:, 0], list(bad_f)), -math.inf, 0.0)
+            if not grad:
+                return f
             g = np.zeros((len(lz), width))
             g[np.isin(lz[:, 0], list(bad_g))] = math.nan
-            return g
+            return f, g
 
-        return ModelSpec((LatentBlock("z", "gamma_mean_shape", 2),), log_joint_batch, grad)
+        return ModelSpec((LatentBlock("z", "gamma_mean_shape", 2),), log_joint_batch)
 
     @pytest.mark.parametrize(
         "bad_f,bad_g,width,row",
@@ -403,9 +410,12 @@ class TestModelCallbacks:
         # a rejected estimate leaves its stream where its draws put it
         theta = np.array([9.0, 6.0, 5.0, 3.0, 2.0])
         cfg = EstimatorConfig(kind, aug_b=1)
-        rejecting = ModelSpec(
-            conj5_spec.latent_layout, lambda lz: np.full(len(lz), -math.inf), conj5_spec.grad_latents_batch
-        )
+
+        def log_joint_batch(lz, grad=False):
+            f = np.full(len(lz), -math.inf)
+            return (f, conj5_spec.log_joint_batch(lz, grad=True)[1]) if grad else f
+
+        rejecting = ModelSpec(conj5_spec.latent_layout, log_joint_batch)
         accepted, rejected = RandomStream(5, 1), RandomStream(5, 1)
         estimate(conj5_spec, theta, cfg, accepted)
         with pytest.raises(DomainError):
@@ -418,18 +428,24 @@ class TestModelCallbacks:
 
     def test_one_model_call_per_replicate_matrix(self, conj5_spec, theta5):
         calls = []
-
-        def log_joint_batch(lz):
-            calls.append(("log_joint", lz.shape))
-            return conj5_spec.log_joint_batch(lz)
-
-        def grad_latents_batch(lz):
-            calls.append(("grad", lz.shape))
-            return conj5_spec.grad_latents_batch(lz)
-
-        spec = ModelSpec(conj5_spec.latent_layout, log_joint_batch, grad_latents_batch)
+        spec = recorded_spec(conj5_spec, calls)
         variance_profile(spec, theta5, EstimatorConfig("rsvi", aug_b=1, draws=2), 30, RandomStream(4, 0))
-        assert calls == [("log_joint", (30, 5)), ("grad", (30, 5))] * 2
+        assert calls == [(30, True)] * 2
+
+    @pytest.mark.parametrize("model", ["conj5", "def_small"])
+    @pytest.mark.parametrize("kind,grad", [("rsvi", True), ("importance", True), ("score_function", False)])
+    def test_one_model_call_per_estimate(self, request, model, kind, grad):
+        # the pathwise estimators take the log-joint and its gradient from one
+        # call; the score function asks for the log-joint alone
+        spec = request.getfixturevalue(f"{model}_spec")
+        calls = []
+        recorded = recorded_spec(spec, calls)
+        theta = default_theta_init(spec) * 1.5
+        cfg = EstimatorConfig(kind, aug_b=1)
+        got = estimate(recorded, theta, cfg, RandomStream(6, 2))
+        want = estimate(spec, theta, cfg, RandomStream(6, 2))
+        assert calls == [(1, grad)]
+        assert got.total.tobytes() == want.total.tobytes()
 
 
 class TestElbo:
@@ -442,14 +458,12 @@ class TestElbo:
     def test_batch_and_loop_paths_agree(self, conj5_spec, theta5):
         # a spec that evaluates each row as its own one-row batch: by the
         # ModelSpec row contract the ELBO comes out the same to the bit
-        def one_row_at_a_time(fn):
-            return lambda lz: np.stack([np.asarray(fn(row[None]))[0] for row in lz])
+        def one_row_at_a_time(lz, grad=False):
+            rows = [conj5_spec.log_joint_batch(row[None], grad=True) for row in lz]
+            f = np.stack([row_f[0] for row_f, _ in rows])
+            return (f, np.stack([np.asarray(row_g)[0] for _, row_g in rows])) if grad else f
 
-        loop_spec = ModelSpec(
-            conj5_spec.latent_layout,
-            one_row_at_a_time(conj5_spec.log_joint_batch),
-            one_row_at_a_time(conj5_spec.grad_latents_batch),
-        )
+        loop_spec = ModelSpec(conj5_spec.latent_layout, one_row_at_a_time)
         a = estimate_elbo(conj5_spec, theta5, 64, RandomStream(5, 5))
         b = estimate_elbo(loop_spec, theta5, 64, RandomStream(5, 5))
         assert a == b
@@ -466,12 +480,7 @@ class TestElbo:
         counts, _ = make_synthetic_def_data((10, 5), 50, 20, RandomStream(0, 977))
         spec = def_model_spec(SparseGammaDEF((10, 5), counts))
         calls = []
-
-        def recorded(lz):
-            calls.append(lz.shape[0])
-            return spec.log_joint_batch(lz)
-
-        chunked = ModelSpec(spec.latent_layout, recorded, spec.grad_latents_batch)
+        chunked = recorded_spec(spec, calls)
         theta0 = default_theta_init(spec)
         theta = theta0 * np.linspace(0.6, 1.8, theta0.size)
         for seed in range(3):
@@ -480,7 +489,19 @@ class TestElbo:
             state = ThetaState(spec, theta)
             lz = estimators._log_latents(state, [bank.draw_batch(stream, 25).log_z for bank in state.banks(0)])
             assert got == float(np.mean(spec.log_joint_batch(lz))) + state.entropy
-            assert calls[-4:] == [8, 8, 8, 1]
+            # one value-only call per chunk, and no other call
+            assert calls == [(8, False), (8, False), (8, False), (1, False)] * (seed + 1)
+
+    @pytest.mark.parametrize(
+        "values", [lambda lz: np.zeros(len(lz) + 1), lambda lz: np.float64(0.0), lambda lz: np.zeros((len(lz), 1))],
+        ids=["extra-value", "zero-d", "column"],
+    )
+    def test_mis_shaped_log_joint_batch_is_a_domain_error(self, values):
+        # estimate_elbo checks each chunk's shape as _eval_model does: extra
+        # values would shift the mean, and a 0-d value cannot be concatenated
+        spec = ModelSpec((LatentBlock("z", "gamma_mean_shape", 2),), lambda lz, grad=False: values(lz))
+        with pytest.raises(DomainError, match=r"log-joint batch has shape .*, expected \(5,\)"):
+            estimate_elbo(spec, np.ones(4), 5, RandomStream(3, 0))
 
 
 @pytest.mark.filterwarnings("error")

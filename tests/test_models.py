@@ -9,6 +9,7 @@ from scipy import integrate, special, stats
 from rsvi.distributions import DirichletParams, dirichlet_kl
 from rsvi.exceptions import DomainError
 from rsvi.mathcore import RandomStream, finite_diff_grad
+from rsvi import models
 from rsvi.models import (
     ConjugateModel,
     LatentBlock,
@@ -35,7 +36,7 @@ def row_value(spec, lz):
 
 def row_grad(spec, lz):
     """d log p / d log z at one point, as the one-row batch."""
-    return np.asarray(spec.grad_latents_batch(np.asarray(lz, dtype=float)[None]), dtype=float)[0]
+    return np.asarray(spec.log_joint_batch(np.asarray(lz, dtype=float)[None], grad=True)[1], dtype=float)[0]
 
 
 @pytest.fixture(scope="module")
@@ -87,18 +88,17 @@ def _shifted_products(la, lb):
 
 class TestModelSpec:
     def test_validation(self):
+        def log_joint_batch(z, grad=False):
+            return (np.zeros(len(z)), z) if grad else np.zeros(len(z))
+
         with pytest.raises(DomainError):
-            ModelSpec((), lambda z: np.zeros(len(z)), lambda z: z)
+            ModelSpec((), log_joint_batch)
         with pytest.raises(DomainError):
-            ModelSpec((LatentBlock("z", "weird", 3),), lambda z: np.zeros(len(z)), lambda z: z)
+            ModelSpec((LatentBlock("z", "weird", 3),), log_joint_batch)
         with pytest.raises(DomainError):
-            ModelSpec((LatentBlock("z", "dirichlet", 1),), lambda z: np.zeros(len(z)), lambda z: z)
+            ModelSpec((LatentBlock("z", "dirichlet", 1),), log_joint_batch)
         with pytest.raises(DomainError):
-            ModelSpec(
-                (LatentBlock("a", "dirichlet", 2), LatentBlock("a", "dirichlet", 2)),
-                lambda z: np.zeros(len(z)),
-                lambda z: z,
-            )
+            ModelSpec((LatentBlock("a", "dirichlet", 2), LatentBlock("a", "dirichlet", 2)), log_joint_batch)
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -111,11 +111,13 @@ class TestModelSpec:
     )
     def test_self_check_catches_corruption(self, conj5_spec, corrupt):
         # a NaN entry gives a NaN error at its point, which must fail the check
-        bad = ModelSpec(
-            conj5_spec.latent_layout,
-            conj5_spec.log_joint_batch,
-            lambda z: corrupt(np.asarray(conj5_spec.grad_latents_batch(z), dtype=float)),
-        )
+        def corrupted(z, grad=False):
+            if not grad:
+                return conj5_spec.log_joint_batch(z)
+            f, g = conj5_spec.log_joint_batch(z, grad=True)
+            return f, corrupt(np.asarray(g, dtype=float))
+
+        bad = ModelSpec(conj5_spec.latent_layout, corrupted)
         assert not bad.self_check(RandomStream(0, 0)) <= 1e-4
 
     def test_self_check_passes(self, conj5_spec, def_small_spec):
@@ -135,11 +137,15 @@ class TestModelSpec:
         if model.startswith("def"):
             rows += _def_edge_rows(request.getfixturevalue(model), spec)
         lz = np.array(rows)
-        f, g = spec.log_joint_batch(lz), spec.grad_latents_batch(lz)
+        f, g = spec.log_joint_batch(lz, grad=True)
+        g = np.asarray(g)
         assert f.shape == (len(rows),) and g.shape == lz.shape
+        # the value-only form gives the same values as the one pass with the gradient
+        assert spec.log_joint_batch(lz).tobytes() == f.tobytes()
         for i, row in enumerate(lz):
-            assert f[i].tobytes() == spec.log_joint_batch(row[None])[0].tobytes(), i
-            assert g[i].tobytes() == np.asarray(spec.grad_latents_batch(row[None]))[0].tobytes(), i
+            f1, g1 = spec.log_joint_batch(row[None], grad=True)
+            assert f[i].tobytes() == f1[0].tobytes() == spec.log_joint_batch(row[None])[0].tobytes(), i
+            assert g[i].tobytes() == np.asarray(g1)[0].tobytes(), i
 
     @pytest.mark.parametrize("model", ["conj5", "def_small"])
     def test_empty_batch(self, request, model):
@@ -147,21 +153,21 @@ class TestModelSpec:
         spec = request.getfixturevalue(f"{model}_spec")
         lz = np.empty((0, spec.n_latents))
         assert spec.log_joint_batch(lz).shape == (0,)
-        assert np.asarray(spec.grad_latents_batch(lz)).shape == (0, spec.n_latents)
+        f, g = spec.log_joint_batch(lz, grad=True)
+        assert f.shape == (0,) and np.asarray(g).shape == (0, spec.n_latents)
 
     @pytest.mark.parametrize("model", ["conj5", "def_small", "def_3layer"])
-    @pytest.mark.parametrize("callback", ["log_joint_batch", "grad_latents_batch"])
-    def test_bad_rows_are_a_domain_error(self, request, model, callback):
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_bad_rows_are_a_domain_error(self, request, model, grad):
         # too long, too short (a layer cut short), a latent with no log, and
         # a row with an extra axis
         spec = request.getfixturevalue(f"{model}_spec")
         lz = spec.random_interior_point(RandomStream(8, 0))
-        fn = getattr(spec, callback)
         nan_first = np.where(np.arange(lz.size) == 0, np.nan, lz)
         for bad in (np.append(lz, [0.0, 0.0]), lz[:-1], nan_first, lz[None]):
             with pytest.raises(DomainError):
                 # each bad row as a one-row matrix
-                fn(bad[None])
+                spec.log_joint_batch(bad[None], grad=grad)
 
 
 class TestConjugateModel:
@@ -376,8 +382,7 @@ class TestSparseGammaDEF:
         lz[0, z1.dim : z1.dim + 2] = top  # z2 is 4 x 2, and its row 0 follows z1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            f = def_small_spec.log_joint_batch(lz)
-            g = def_small_spec.grad_latents_batch(lz)
+            f, g = def_small_spec.log_joint_batch(lz, grad=True)
             if top == -710.5:
                 assert np.isfinite(f).all() and np.isfinite(g).all()
                 _eval_model(def_small_spec, lz)
@@ -385,6 +390,24 @@ class TestSparseGammaDEF:
                 assert f[0] == -np.inf
                 with pytest.raises(DomainError, match="log-joint is non-finite"):
                     _eval_model(def_small_spec, lz)
+
+    def test_one_pass_forms_each_rate_and_mean_once(self, monkeypatch):
+        # the (10,5) DEF forms its Poisson rates and its one layer of means
+        # by _log_matmul: twice per call, with or without the gradient
+        counts, _ = make_synthetic_def_data((10, 5), 50, 20, RandomStream(0, 977))
+        spec = def_model_spec(SparseGammaDEF((10, 5), counts))
+        lz = spec.random_interior_point(RandomStream(4, 0))[None]
+        calls = []
+
+        def counted(la, lb):
+            calls.append(la.shape)
+            return _log_matmul(la, lb)
+
+        monkeypatch.setattr(models, "_log_matmul", counted)
+        spec.log_joint_batch(lz, grad=True)
+        assert calls == [(1, 50, 10), (1, 50, 5)]
+        spec.log_joint_batch(lz)
+        assert len(calls) == 4
 
     def test_log_joint_diverges_at_boundary(self):
         # the sole latent behind a positive count cannot vanish: f -> -inf as

@@ -270,11 +270,11 @@ class TestLogSpaceDraws:
         assert np.all(np.isfinite(bank.draw(RandomStream(1, 0)).log_z))
         assert np.all(np.isfinite(bank.draw_batch(RandomStream(2, 0), 50).log_z))
         # f = ln z - z on one mean-shape latent, in the log-latent contract
-        spec = ModelSpec(
-            (LatentBlock("z", "gamma_mean_shape", 1),),
-            lambda lz: lz[:, 0] - np.exp(lz[:, 0]),
-            lambda lz: 1.0 - np.exp(lz),
-        )
+        def log_joint_batch(lz, grad=False):
+            f = lz[:, 0] - np.exp(lz[:, 0])
+            return (f, 1.0 - np.exp(lz)) if grad else f
+
+        spec = ModelSpec((LatentBlock("z", "gamma_mean_shape", 1),), log_joint_batch)
         theta = np.array([shape, shape / rate])
         est = estimate(spec, theta, EstimatorConfig("rsvi", aug_b=B), RandomStream(3, 0))
         assert np.all(np.isfinite(est.total))

@@ -56,6 +56,8 @@ COMMANDS = {
     ],
     "gradcheck-conjugate": ["gradcheck", "--seed", "5"],
     "gradcheck-def": ["gradcheck", "--model", "def", "--seed", "5"],
+    # three layers, so the DEF kernel's middle-layer loop runs twice
+    "gradcheck-def-3layer": ["gradcheck", "--model", "def", "--layers", "4,3,2", "--seed", "6"],
     "variance-conjugate": ["variance", *_ESTIMATORS, "--b", "0,1,4", "--g", "150", "--seed", "17", "--out", "{out}.csv"],
     # 700 replicates of 100 latents cross chunk boundaries whether a pass
     # holds 2**13 or 2**15 latent draws
@@ -72,6 +74,10 @@ COMMANDS = {
     "fit-def-stable": [
         "fit", "--model", "def", "--layers", "2", "--n-obs", "5", "--n-dim", "4", "--iterations", "1000",
         "--elbo-draws", "20", "--seed", "23", "--out", "{out}",
+    ],
+    "fit-def-3layer": [
+        "fit", "--model", "def", "--layers", "4,3,2", "--n-obs", "8", "--n-dim", "6", "--iterations", "100",
+        "--elbo-draws", "20", "--eta", "0.75", "--seed", "24", "--out", "{out}",
     ],
 }
 
