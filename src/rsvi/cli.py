@@ -36,7 +36,6 @@ from .estimators import (
     _log_simplex,
     default_theta_init,
     grad_log_ratio_gamma,
-    param_layout,
     variance_profile,
 )
 from .exceptions import ContractError, DomainError, OptimizerAbortError, SamplerStallError
@@ -282,7 +281,11 @@ def cmd_sample(cfg: dict) -> int:
         raise ConfigError(str(exc)) from exc
     # the per-distribution choices; everything after them runs once for either
     if gamma:
-        z = np.exp(batch.log_z)
+        with np.errstate(over="ignore"):
+            z = np.exp(batch.log_z)
+        if not np.isfinite(z).all():
+            print(f"numerical failure: gamma draws at rate {rate!r} overflow a double", file=sys.stderr)
+            return EXIT_NUMERICAL_FAILURE
         names = ["epsilon", "z", "trials"]
         cdfs = [lambda x: reg_lower_gamma(float(conc[0]), rate * x)]
         envelope = f" log_M={float(bank.log_M[0])!r} effective_shape={float(bank.eff_shapes[0])!r}"
@@ -459,8 +462,7 @@ def _load_counts(path: str, fmt: str) -> np.ndarray:
 
 def _param_names(spec) -> list:
     names = []
-    blocks, _ = param_layout(spec)
-    for pb in blocks:
+    for pb in spec.blocks:
         if pb.family == "gamma_mean_shape":
             names.extend(f"{pb.name}.shape[{i}]" for i in range(pb.dim))
             names.extend(f"{pb.name}.mean[{i}]" for i in range(pb.dim))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EstimatorConfig, ThetaState, estimate, estimate_elbo, param_layout
+from .estimators import EstimatorConfig, ThetaState, estimate, estimate_elbo
 from .exceptions import DomainError, OptimizerAbortError
 from .mathcore import RandomStream
 
@@ -175,7 +175,7 @@ def run_rsvi(model, theta_init, cfg: RunConfig, stream: RandomStream):
     reaches it, and serves both that step's ELBO and the next iteration's
     gradient estimate.
     """
-    n_params = param_layout(model)[1]
+    n_params = model.n_params
     theta0 = np.asarray(theta_init, dtype=float)
     if theta0.shape != (n_params,) or not (np.all(np.isfinite(theta0)) and np.all(theta0 > 0.0)):
         raise DomainError(f"theta_init must be positive with shape ({n_params},)")

@@ -26,16 +26,14 @@ from .distributions import (
 )
 from .exceptions import ContractError, DomainError
 from .mathcore import RandomStream, StreamBatch, _gamma_fns, _scalar_or_array, digamma
-from .models import ModelSpec
+from .models import ModelSpec, ParamBlock
 from .rejection import _build_bank, _cube, _dh_dalpha, _draw_tail, _h, _log_ratio
 
 __all__ = [
     "EstimatorConfig",
     "GradientEstimate",
     "VarianceProfile",
-    "ParamBlock",
     "ThetaState",
-    "param_layout",
     "default_theta_init",
     "grad_log_ratio_gamma",
     "estimate",
@@ -99,50 +97,12 @@ class VarianceProfile:
     label: str
 
 
-@dataclass(frozen=True)
-class ParamBlock:
-    name: str
-    family: str
-    dim: int
-    latent_slice: slice
-    theta_slice: slice
-
-
-def param_layout(model: ModelSpec) -> tuple[list[ParamBlock], int]:
-    """Map each latent block to its slice of the variational parameter vector.
-
-    gamma_mean_shape blocks pack [shapes..., means...] (2*dim entries);
-    dirichlet blocks pack their concentration vector (dim entries).
-    """
-    blocks = []
-    lat = 0
-    par = 0
-    for lb in model.latent_layout:
-        width = 2 * lb.dim if lb.family == "gamma_mean_shape" else lb.dim
-        blocks.append(
-            ParamBlock(
-                name=lb.name,
-                family=lb.family,
-                dim=lb.dim,
-                latent_slice=slice(lat, lat + lb.dim),
-                theta_slice=slice(par, par + width),
-            )
-        )
-        lat += lb.dim
-        par += width
-    return blocks, par
-
-
 def default_theta_init(model: ModelSpec) -> np.ndarray:
     """Deterministic initialization: gamma shape 0.5 / mean 1.0, Dirichlet 1."""
-    blocks, n = param_layout(model)
-    theta = np.empty(n)
-    for pb in blocks:
+    theta = np.ones(model.n_params)
+    for pb in model.blocks:
         if pb.family == "gamma_mean_shape":
-            theta[pb.theta_slice.start : pb.theta_slice.start + pb.dim] = 0.5
-            theta[pb.theta_slice.start + pb.dim : pb.theta_slice.stop] = 1.0
-        else:
-            theta[pb.theta_slice] = 1.0
+            theta[pb.shape_slice] = 0.5
     return theta
 
 
@@ -178,42 +138,40 @@ class ThetaState:
     Building it checks theta (right shape, positive and finite, and every
     derived rate shape/mean positive and finite), evaluates the special
     functions of each block's shapes (and a Dirichlet block's total) in
-    one call per block, and the analytic entropy and its gradient.
-    `estimate` and `estimate_elbo` build one when none is
-    passed; `run_rsvi` builds one per iterate and passes it to the ELBO of
-    the step that reached the iterate and to the gradient estimate taken
-    there. `theta` is a read-only copy.
+    one call per block, and the analytic entropy and its gradient. It
+    splits theta through the slices of `model.blocks`, one BlockState per
+    block, and forms no slice of its own. `estimate` and `estimate_elbo`
+    build one when none is passed; `run_rsvi` builds one per iterate and
+    passes it to the ELBO of the step that reached the iterate and to the
+    gradient estimate taken there. `theta` is a read-only copy.
     """
 
     def __init__(self, model: ModelSpec, theta):
-        layout, n_params = param_layout(model)
         self.model = model
-        self.theta = theta = _check_theta(theta, n_params)
-        self.n_params = n_params
+        self.theta = theta = _check_theta(theta, model.n_params)
         self.blocks = []
-        self.g_entropy = np.zeros(n_params)
+        self.g_entropy = grad = np.zeros(model.n_params)
         value = 0.0
-        for pb in layout:
-            seg = theta[pb.theta_slice]
+        for pb in model.blocks:
+            shapes = theta[pb.shape_slice]
             if pb.family == "gamma_mean_shape":
-                shapes, means = seg[: pb.dim], seg[pb.dim :]
+                means = theta[pb.mean_slice]
                 with np.errstate(over="ignore", under="ignore"):
                     rates = shapes / means
                 if not (np.isfinite(rates).all() and (rates > 0.0).all()):
                     raise DomainError("variational rates shape/mean must be positive and finite")
                 args = shapes
             else:
-                shapes, means, rates = seg, None, np.full(pb.dim, 1.0)
+                means, rates = None, np.full(pb.dim, 1.0)
                 args = _with_total(shapes)
             bs = BlockState(pb, shapes, means, rates, *_gamma_fns(args, lgamma=True, psi=True, psi1=True))
             self.blocks.append(bs)
-            grad = self.g_entropy[pb.theta_slice]
-            if pb.family == "gamma_mean_shape":
+            if means is not None:
                 value += float(np.sum(_gamma_entropy(shapes, rates, bs.lgamma, bs.psi)))
-                grad[: pb.dim], grad[pb.dim :] = _gamma_entropy_grad_mean_shape(shapes, means, bs.psi1)
+                grad[pb.shape_slice], grad[pb.mean_slice] = _gamma_entropy_grad_mean_shape(shapes, means, bs.psi1)
             else:
                 value += _dirichlet_entropy(shapes, bs.lgamma, bs.psi)
-                grad[:] = _dirichlet_entropy_grad(shapes, bs.psi1)
+                grad[pb.shape_slice] = _dirichlet_entropy_grad(shapes, bs.psi1)
         self.entropy = value
         self.g_entropy.flags.writeable = False
 
@@ -373,13 +331,12 @@ def _reparam_terms(state, banks, draws, lz, f, gf, weight=None):
     d ln z_k/d ln z1_j = delta_kj - z_j. g_cor is f times the shape
     derivative of the log-ratio at the accepted eps.
     """
-    g_rep = np.zeros((lz.shape[0], state.n_params))
-    g_cor = np.zeros((lz.shape[0], state.n_params))
+    g_rep = np.zeros((lz.shape[0], state.model.n_params))
+    g_cor = np.zeros((lz.shape[0], state.model.n_params))
     wf = f[:, None] if weight is None else (weight * f)[:, None]
     for bs, bank, (eps, h, aug_dsum) in zip(state.blocks, banks, draws):
         pb = bs.pb
         g_block, lz_block = gf[:, pb.latent_slice], lz[:, pb.latent_slice]
-        shape_part = slice(pb.theta_slice.start, pb.theta_slice.start + pb.dim)
         alpha, s = bank.eff_shapes[None], bank.cube_scale[None]
         y = eps / s
         y += 1.0
@@ -388,8 +345,8 @@ def _reparam_terms(state, banks, draws, lz, f, gf, weight=None):
         dlogz1_da += aug_dsum
         if pb.family == "gamma_mean_shape":
             dlogz1_da -= 1.0 / bs.shapes
-            np.multiply(g_block, dlogz1_da, out=g_rep[:, shape_part])
-            np.divide(g_block, bs.means, out=g_rep[:, shape_part.stop : pb.theta_slice.stop])
+            np.multiply(g_block, dlogz1_da, out=g_rep[:, pb.shape_slice])
+            np.divide(g_block, bs.means, out=g_rep[:, pb.mean_slice])
         else:
             rep = np.exp(lz_block)
             rep *= g_block.sum(axis=-1, keepdims=True)
@@ -398,7 +355,7 @@ def _reparam_terms(state, banks, draws, lz, f, gf, weight=None):
         if weight is not None:
             g_rep[:, pb.theta_slice] *= weight[:, None]
         glr = _glr_psi(eps, alpha, bank.psi_eff[None], s, y, h, ha)
-        np.multiply(wf, glr, out=g_cor[:, shape_part])
+        np.multiply(wf, glr, out=g_cor[:, pb.shape_slice])
     return g_rep, g_cor
 
 
@@ -414,7 +371,7 @@ def _draw_score(state, banks, rows):
     bds = [bank.draw_streams(rows) for bank in banks]
     lz_full = _log_latents(state, [bd.log_z for bd in bds])
     f = _eval_model(state.model, lz_full, with_grad=False)[0][:, None]
-    g_cor = np.zeros((rows.size, state.n_params))
+    g_cor = np.zeros((rows.size, state.model.n_params))
     for bs, const in zip(state.blocks, state.score_consts):
         pb = bs.pb
         lz = lz_full[:, pb.latent_slice]
@@ -423,10 +380,11 @@ def _draw_score(state, banks, rows):
             d_rate = means - np.exp(lz)  # shape/rate - z with rate = shape/mean
             d_a = const + lz + d_rate / means
             d_mu = d_rate * (-shapes / (means * means))
-            g_cor[:, pb.theta_slice] = f * np.concatenate([d_a, d_mu], axis=1)
+            g_cor[:, pb.shape_slice] = f * d_a
+            g_cor[:, pb.mean_slice] = f * d_mu
         else:
             g_cor[:, pb.theta_slice] = f * (lz + const)
-    return np.zeros((rows.size, state.n_params)), g_cor, sum(bd.trials.sum(axis=1) for bd in bds)
+    return np.zeros((rows.size, state.model.n_params)), g_cor, sum(bd.trials.sum(axis=1) for bd in bds)
 
 
 def _draw_importance(state, banks, rows):
@@ -451,8 +409,8 @@ def _draw_importance(state, banks, rows):
         log_w += _log_ratio(eps, y, bank.eff_shapes, bank.log_M).sum(axis=1)
         draws.append((eps, h, aug_dsum))
         log_zs.append(log_z)
-    g_rep = np.zeros((n_rows, state.n_params))
-    g_cor = np.zeros((n_rows, state.n_params))
+    g_rep = np.zeros((n_rows, state.model.n_params))
+    g_cor = np.zeros((n_rows, state.model.n_params))
     # when every row is inside, the rows are taken as they are, not gathered
     keep = slice(None) if valid.all() else np.flatnonzero(valid)
     if valid.any():
@@ -549,7 +507,7 @@ def variance_profile(model, theta, cfg, G: int, stream: RandomStream) -> Varianc
     passes = -(-G // max(1, _PROFILE_DRAWS // model.n_latents))
     per_chunk = -(-G // passes)
     children = StreamBatch.children(stream, G)
-    totals = np.empty((G, state.n_params))
+    totals = np.empty((G, state.model.n_params))
     for lo in range(0, G, per_chunk):
         rows = StreamBatch(children.bases[lo : lo + per_chunk], children.counters[lo : lo + per_chunk])
         totals[lo : lo + per_chunk] = _estimate_rows(cfg, state, banks, rows)[2]

@@ -23,6 +23,7 @@ from .rejection import make_sampler_bank
 
 __all__ = [
     "LatentBlock",
+    "ParamBlock",
     "ModelSpec",
     "ConjugateModel",
     "conjugate_exact_elbo_grad",
@@ -46,6 +47,24 @@ class LatentBlock:
     dim: int
 
 
+@dataclass(frozen=True)
+class ParamBlock:
+    """Where one latent block sits in a log-latent row and in theta.
+
+    A gamma_mean_shape block packs [shapes..., means...] (2*dim entries of
+    theta); a dirichlet block packs its concentration vector (dim entries),
+    which is its shape_slice, and has no mean_slice.
+    """
+
+    name: str
+    family: str
+    dim: int
+    latent_slice: slice
+    theta_slice: slice
+    shape_slice: slice
+    mean_slice: slice | None
+
+
 class ModelSpec:
     """A model as the estimators see it.
 
@@ -61,6 +80,10 @@ class ModelSpec:
     off the simplex: finite differences and the normalization chain rule
     probe there. Log latents keep draws whose value lies below the smallest
     double (tiny gamma shapes) finite.
+
+    The layout is fixed here, once: `blocks` holds one ParamBlock per
+    latent block in layout order, and `n_latents` and `n_params` are the
+    widths of a log-latent row and of theta.
     """
 
     def __init__(self, latent_layout: Sequence[LatentBlock], log_joint_batch: Callable):
@@ -70,36 +93,37 @@ class ModelSpec:
         names = [b.name for b in layout]
         if len(set(names)) != len(names):
             raise DomainError(f"duplicate latent block names: {names}")
+        blocks = []
+        lat = par = 0
         for b in layout:
             if b.family not in _FAMILIES:
                 raise DomainError(f"unknown latent family {b.family!r}")
-            if b.dim < 1 or (b.family == "dirichlet" and b.dim < 2):
-                raise DomainError(f"bad dimension for block {b.name!r}: {b.dim}")
+            if not isinstance(b.dim, (int, np.integer)) or b.dim < 1 or (b.family == "dirichlet" and b.dim < 2):
+                raise DomainError(f"bad dimension for block {b.name!r}: {b.dim!r}")
+            dim = int(b.dim)
+            gamma = b.family == "gamma_mean_shape"
+            width = 2 * dim if gamma else dim
+            latents, shapes = slice(lat, lat + dim), slice(par, par + dim)
+            means = slice(par + dim, par + width) if gamma else None
+            blocks.append(ParamBlock(b.name, b.family, dim, latents, slice(par, par + width), shapes, means))
+            lat += dim
+            par += width
         self.latent_layout = layout
         self.log_joint_batch = log_joint_batch
-
-    @property
-    def n_latents(self) -> int:
-        return sum(b.dim for b in self.latent_layout)
-
-    def latent_slices(self) -> dict:
-        out = {}
-        start = 0
-        for b in self.latent_layout:
-            out[b.name] = slice(start, start + b.dim)
-            start += b.dim
-        return out
+        self.blocks = tuple(blocks)
+        self.n_latents = lat
+        self.n_params = par
 
     def random_interior_point(self, stream: RandomStream) -> np.ndarray:
         """Log of a strictly interior latent point (for the gradient self-check)."""
         z = np.empty(self.n_latents)
-        for b, sl in zip(self.latent_layout, self.latent_slices().values()):
-            u = stream.uniforms_open(b.dim)
-            if b.family == "dirichlet":
+        for pb in self.blocks:
+            u = stream.uniforms_open(pb.dim)
+            if pb.family == "dirichlet":
                 w = 0.2 + u
-                z[sl] = w / w.sum()
+                z[pb.latent_slice] = w / w.sum()
             else:
-                z[sl] = 0.3 + 2.0 * u
+                z[pb.latent_slice] = 0.3 + 2.0 * u
         return np.log(z)
 
     def self_check(self, stream: RandomStream) -> float:

@@ -180,6 +180,20 @@ class TestSample:
         assert run_cli(*args) == 0
         assert (tmp_path / args[-1]).read_bytes() == expected
 
+    def test_overflowing_draws_are_a_numerical_failure(self, tmp_path, capsys):
+        # every Gam(2, 1e-310) draw lies near 2e310, past the largest double:
+        # the inputs are valid, so this is exit 4 with no numpy warning and no CSV
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(
+                "sample", "--alpha", "2", "--beta", "1e-310", "--n-draws", "5", "--seed", "1", "--out", str(out),
+            )
+        assert code == 4 and not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: gamma draws at rate 1e-310 overflow a double"
+        ]
+
     def test_sampler_stall_exit_code(self, tmp_path, monkeypatch):
         class StallBank:
             def draw_batch(self, stream, n):
@@ -488,6 +502,9 @@ class TestContract:
             [sys.executable, "tools/contract.py", str(tmp_path)], cwd=root, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        assert len(list(tmp_path.iterdir())) == 79
-        exits = list(tmp_path.glob("*.exit"))
-        assert len(exits) == 19 and all(path.read_text() == "0\n" for path in exits)
+        assert len(list(tmp_path.iterdir())) == 99
+        exits = {path.stem: path.read_text() for path in tmp_path.glob("*.exit")}
+        # every command exits 0 but the three that check a failure path
+        failing = {"sample-gamma-overflow": "4\n", "variance-theta-negative": "2\n", "fit-def-runaway": "4\n"}
+        assert len(exits) == 24
+        assert exits == {name: failing.get(name, "0\n") for name in exits}

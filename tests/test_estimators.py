@@ -3,8 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import special
 
-from rsvi import estimators
+from rsvi import cli, estimators
 from rsvi.estimators import (
     ESTIMATOR_KINDS,
     EstimatorConfig,
@@ -13,7 +14,6 @@ from rsvi.estimators import (
     estimate,
     estimate_elbo,
     grad_log_ratio_gamma,
-    param_layout,
     variance_profile,
 )
 from rsvi.exceptions import ContractError, DomainError
@@ -84,7 +84,7 @@ class TestConfigAndLayout:
             EstimatorConfig(draws=0)
 
     def test_param_layout_mixed(self, def_small_spec):
-        blocks, n = param_layout(def_small_spec)
+        blocks, n = def_small_spec.blocks, def_small_spec.n_params
         assert n == 2 * def_small_spec.n_latents  # all gamma mean-shape blocks
         assert blocks[0].theta_slice.start == 0
         assert blocks[-1].theta_slice.stop == n
@@ -94,6 +94,79 @@ class TestConfigAndLayout:
             estimate(conj5_spec, np.array([1.0, -1.0, 1.0, 1.0, 1.0]), EstimatorConfig(), RandomStream(0, 0))
         with pytest.raises(ContractError):
             estimate(conj5_spec, np.ones(4), EstimatorConfig(), RandomStream(0, 0))
+
+
+def mixed_model():
+    """Blocks u (Dirichlet 3), z (mean-shape gamma 2) and v (Dirichlet 2)
+    with the separable log-joint cu . ln u + sum (a - 1) ln z - b z + cv . ln v,
+    and its closed-form ELBO at theta."""
+    cu, a1, b, cv = np.array([1.0, 2.0, 0.5]), np.array([1.0, 2.5]), np.array([0.5, 1.5]), np.array([0.7, 1.2])
+
+    def log_joint_batch(lz, grad=False):
+        lz = np.ascontiguousarray(lz, dtype=float)
+        u, z, v = lz[:, :3], lz[:, 3:5], lz[:, 5:]
+        f = np.vecdot(u, cu) + np.vecdot(z, a1) - np.vecdot(np.exp(z), b) + np.vecdot(v, cv)
+        g = np.concatenate([np.broadcast_to(cu, u.shape), a1 - b * np.exp(z), np.broadcast_to(cv, v.shape)], axis=1)
+        return (f, g) if grad else f
+
+    layout = (LatentBlock("u", "dirichlet", 3), LatentBlock("z", "gamma_mean_shape", 2), LatentBlock("v", "dirichlet", 2))
+    spec = ModelSpec(layout, log_joint_batch)
+
+    def elbo(theta):
+        # E ln u_k = psi(conc_k) - psi(sum conc); E ln z = psi(shape) - ln(shape/mean), E z = mean
+        conc_u, shapes, means, conc_v = theta[:3], theta[3:5], theta[5:7], theta[7:]
+        e_log_u = special.digamma(conc_u) - special.digamma(conc_u.sum())
+        e_log_v = special.digamma(conc_v) - special.digamma(conc_v.sum())
+        e_log_z = special.digamma(shapes) - np.log(shapes / means)
+        e_f = cu @ e_log_u + a1 @ e_log_z - b @ means + cv @ e_log_v
+        return e_f + ThetaState(spec, theta).entropy
+
+    return spec, elbo
+
+
+class TestMixedLayout:
+    """A spec that mixes both families, Dirichlet blocks on either side of a
+    mean-shape gamma block."""
+
+    theta = np.array([4.0, 5.0, 6.0, 4.5, 5.5, 1.3, 0.8, 4.0, 5.0])
+
+    def test_slices(self):
+        spec = mixed_model()[0]
+        assert (spec.n_latents, spec.n_params) == (7, 9)
+        assert [pb.latent_slice for pb in spec.blocks] == [slice(0, 3), slice(3, 5), slice(5, 7)]
+        assert [pb.theta_slice for pb in spec.blocks] == [slice(0, 3), slice(3, 7), slice(7, 9)]
+        assert [pb.shape_slice for pb in spec.blocks] == [slice(0, 3), slice(3, 5), slice(7, 9)]
+        assert [pb.mean_slice for pb in spec.blocks] == [None, slice(5, 7), None]
+        assert default_theta_init(spec).tolist() == [1.0, 1.0, 1.0, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0]
+        assert cli._param_names(spec) == [
+            "u.conc[0]", "u.conc[1]", "u.conc[2]", "z.shape[0]", "z.shape[1]", "z.mean[0]", "z.mean[1]",
+            "v.conc[0]", "v.conc[1]",
+        ]
+
+    def test_entropy_is_the_sum_of_one_block_specs(self):
+        # each block's entropy and gradient as its own one-block spec, to the bit
+        spec = mixed_model()[0]
+        state = ThetaState(spec, self.theta)
+        parts = [slice(0, 3), slice(3, 7), slice(7, 9)]
+        singles = [ThetaState(ModelSpec((lb,), None), self.theta[sl]) for lb, sl in zip(spec.latent_layout, parts)]
+        assert state.entropy == sum(one.entropy for one in singles)
+        for sl, one in zip(parts, singles):
+            assert np.array_equal(state.g_entropy[sl], one.g_entropy)
+
+    @pytest.mark.parametrize("kind,B", [("rsvi", 0), ("rsvi", 1), ("importance", 1), ("score_function", 0)])
+    def test_profile_means_hit_the_elbo_gradient(self, kind, B):
+        # 4 estimators x 9 parameters, each within 4 SE (two-sided normal
+        # tail 6.3e-5): a family-wise false-failure rate of at most 2.3e-3
+        # (Bonferroni) on a correct estimator. The correction term is rare
+        # and large (kurtosis near 1e3 here), so G is large enough for the
+        # normal tail to hold: over 250 fresh seeds per rsvi row and 100 per
+        # other row, no |z| passed 3.6, and |z| > 3 came at the normal rate
+        spec, elbo = mixed_model()
+        exact = finite_diff_grad(elbo, self.theta, 1e-6)
+        G = 100_000
+        prof = variance_profile(spec, self.theta, EstimatorConfig(kind, aug_b=B), G, RandomStream(91, B))
+        se = np.sqrt(prof.variances / G)
+        assert np.all(np.abs(prof.means - exact) <= 4.0 * se), (prof.means - exact) / se
 
 
 class TestStructuralIdentities:
@@ -604,7 +677,7 @@ class TestThetaState:
             monkeypatch.setattr(module, "_gamma_fns", counted)
         state = ThetaState(spec, theta)
         state.score_consts
-        blocks = param_layout(spec)[0]
+        blocks = spec.blocks
         assert len(calls) == len(blocks)
         # a Dirichlet block's call also covers its total concentration
         assert calls == [pb.dim + (pb.family == "dirichlet") for pb in blocks]

@@ -55,7 +55,7 @@ def _def_edge_rows(m, spec):
     _log_matmul's log-sum-exp recompute (random z1 and w0 entries 700 below
     the rest) and 20 whose rates lie below POISSON_RATE_FLOOR."""
     rng = np.random.default_rng(12)
-    blocks = spec.latent_slices()
+    blocks = {pb.name: pb.latent_slice for pb in spec.blocks}
     far, low = [], []
     for i in range(20):
         row = rng.normal(0.0, 1.0, spec.n_latents)
@@ -99,6 +99,19 @@ class TestModelSpec:
             ModelSpec((LatentBlock("z", "dirichlet", 1),), log_joint_batch)
         with pytest.raises(DomainError):
             ModelSpec((LatentBlock("a", "dirichlet", 2), LatentBlock("a", "dirichlet", 2)), log_joint_batch)
+
+    def test_block_dim_must_be_an_integer(self):
+        # the constructor lays the blocks out, so a dim that cannot be a
+        # slice bound fails there, not at the first theta
+        def log_joint_batch(z, grad=False):
+            return (np.zeros(len(z)), z) if grad else np.zeros(len(z))
+
+        for dim in (2.5, 2.0, "3", None):
+            with pytest.raises(DomainError, match="bad dimension"):
+                ModelSpec((LatentBlock("z", "gamma_mean_shape", dim),), log_joint_batch)
+        spec = ModelSpec((LatentBlock("z", "gamma_mean_shape", np.int64(2)),), log_joint_batch)
+        assert (spec.n_latents, spec.n_params) == (2, 4)
+        assert type(spec.n_latents) is int and type(spec.blocks[0].dim) is int
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -323,7 +336,7 @@ class TestSparseGammaDEF:
         # every Poisson rate (a sum of two z w products) falls below the floor,
         # while the layer above keeps the other terms of order one
         spec = def_model_spec(SparseGammaDEF((2, 1), np.array([[3, 1, 0], [2, 0, 4]])))
-        blocks = spec.latent_slices()
+        blocks = {pb.name: pb.latent_slice for pb in spec.blocks}
         stream = RandomStream(78, 0)
         for _ in range(5):
             v = spec.random_interior_point(stream)
@@ -337,7 +350,7 @@ class TestSparseGammaDEF:
         # against log p written point by point from scipy's densities, in
         # linear space: Poisson counts, the layer conditional and the priors
         m = def_small
-        blocks = def_small_spec.latent_slices()
+        blocks = {pb.name: pb.latent_slice for pb in def_small_spec.blocks}
         zs = np.array([def_small_spec.random_interior_point(RandomStream(5, i)) for i in range(7)])
         batch = def_small_spec.log_joint_batch(zs)
         for lz, got in zip(zs, batch):

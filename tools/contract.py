@@ -9,7 +9,9 @@ It imports the `rsvi` package from that checkout's `src/`, changes into
 OUT_DIR and runs each command through `rsvi.cli.main`. The commands name
 their output files relative to OUT_DIR, so the `# rsvi ... config` header
 lines do not depend on where OUT_DIR is. For command NAME it writes the
-command's own files, `NAME.stdout`, `NAME.stderr` and `NAME.exit`.
+command's own files, `NAME.stdout`, `NAME.stderr` and `NAME.exit`. Most
+commands exit 0; the ones that check a failure path say which exit they
+expect.
 
 Two checkouts that behave alike give identical directories:
 
@@ -50,6 +52,10 @@ COMMANDS = {
         "sample", "--alpha", "3.5", "--beta", "2.5", "--b", "1", "--n-draws", "5000", "--seed", "16",
         "--out", "{out}.csv",
     ],
+    # a rate so small that every draw overflows a double: exit 4, no CSV
+    "sample-gamma-overflow": [
+        "sample", "--alpha", "2", "--beta", "1e-310", "--n-draws", "5", "--seed", "1", "--out", "{out}.csv",
+    ],
     "sample-dirichlet-b1": [
         "sample", "--dist", "dirichlet", "--alpha", "0.5,1,4", "--b", "1", "--n-draws", "5000", "--seed", "17",
         "--out", "{out}.csv",
@@ -65,10 +71,17 @@ COMMANDS = {
         "variance", *_K100, "--estimators", "rsvi,importance,score_function", "--b", "1", "--g", "700",
         "--seed", "20", "--out", "{out}.csv",
     ],
+    # an explicit --theta goes through the ThetaState probe; a negative entry exits 2
+    "variance-theta": ["variance", "--theta", "2,1,1,1,0.5", "--g", "200", "--seed", "22", "--out", "{out}.csv"],
+    "variance-theta-negative": [
+        "variance", "--theta", "2,1,-1,1,0.5", "--g", "200", "--seed", "22", "--out", "{out}.csv",
+    ],
     "variance-def": ["variance", "--model", "def", *_ESTIMATORS, "--g", "60", "--seed", "18", "--out", "{out}.csv"],
     "fit-conjugate-rsvi": [*_FIT, "--estimator", "rsvi", "--out", "{out}"],
     "fit-conjugate-score": [*_FIT, "--estimator", "score_function", "--out", "{out}"],
     "fit-conjugate-importance": [*_FIT, "--estimator", "importance", "--out", "{out}"],
+    # two draws per estimate; the loose tolerance stops the fit at iteration 40
+    "fit-conjugate-draws": [*_FIT, "--draws", "2", "--stop-tol", "1e9", "--stop-window", "20", "--out", "{out}"],
     "fit-def": ["fit", "--model", "def", "--iterations", "50", "--seed", "21", "--out", "{out}"],
     # long enough for trace_stability to judge its full 1000-iteration span
     "fit-def-stable": [
@@ -78,6 +91,11 @@ COMMANDS = {
     "fit-def-3layer": [
         "fit", "--model", "def", "--layers", "4,3,2", "--n-obs", "8", "--n-dim", "6", "--iterations", "100",
         "--elbo-draws", "20", "--eta", "0.75", "--seed", "24", "--out", "{out}",
+    ],
+    # at the default --eta 2.0 the same fit runs away and aborts: exit 4
+    "fit-def-runaway": [
+        "fit", "--model", "def", "--layers", "4,3,2", "--n-obs", "8", "--n-dim", "6", "--iterations", "100",
+        "--elbo-draws", "20", "--seed", "24", "--out", "{out}",
     ],
 }
 
