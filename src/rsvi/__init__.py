@@ -25,7 +25,6 @@ from .estimators import (
     default_theta_init,
     estimate,
     estimate_elbo,
-    grad_log_ratio_gamma,
     variance_profile,
 )
 from .exceptions import ContractError, DomainError, OptimizerAbortError, SamplerStallError
@@ -40,6 +39,7 @@ from .models import (
 from .rejection import (
     dh_dalpha,
     dh_deps,
+    grad_log_ratio_gamma,
     h_gam,
     log_ratio_q_over_r,
 )

@@ -35,7 +35,6 @@ from .estimators import (
     ThetaState,
     _log_simplex,
     default_theta_init,
-    grad_log_ratio_gamma,
     variance_profile,
 )
 from .exceptions import ContractError, DomainError, OptimizerAbortError, SamplerStallError
@@ -51,6 +50,7 @@ from .models import (
 from .rejection import (
     dh_dalpha,
     dh_deps,
+    grad_log_ratio_gamma,
     h_gam,
     log_ratio_q_over_r,
     make_sampler_bank,
@@ -327,6 +327,16 @@ def _spec_for(cfg):
         raise ConfigError(str(exc)) from exc
 
 
+def _cube_point(a, e, step):
+    """(alpha, eps), moved up only where a central difference of half-width
+    `step` would leave the cube's domain: until a - step rounds to >= 1,
+    and to a step above the boundary -sqrt(9 (a - step) - 3)."""
+    a = max(a, 1.0 + step)
+    while a - step < 1.0:
+        a = math.nextafter(a, 2.0)
+    return a, max(e, 2.0 * step - math.sqrt(9.0 * (a - step) - 3.0))
+
+
 def cmd_gradcheck(cfg: dict) -> int:
     """Run every analytic-vs-finite-difference check; nonzero exit on failure."""
     stream = RandomStream(cfg["seed"], 1)
@@ -341,8 +351,7 @@ def cmd_gradcheck(cfg: dict) -> int:
     # transform derivatives
     errs_e, errs_a = [], []
     for i in range(50):
-        a = 1.0 + 19.0 * rng_pts[2 * i]
-        e = -2.5 + 5.5 * rng_pts[2 * i + 1]
+        a, e = _cube_point(1.0 + 19.0 * rng_pts[2 * i], -2.5 + 5.5 * rng_pts[2 * i + 1], 1e-6)
         errs_e.append(_rel_err(finite_diff_grad(lambda v: h_gam(v, a), e, 1e-6), dh_deps(e, a)))
         errs_a.append(_rel_err(finite_diff_grad(lambda v: h_gam(e, v), a, 1e-6), dh_dalpha(e, a)))
     check("dh_deps", errs_e, 1e-6)
@@ -350,8 +359,7 @@ def cmd_gradcheck(cfg: dict) -> int:
 
     errs = []
     for i in range(50):
-        a = 1.0 + 19.0 * rng_pts[100 + 2 * i]
-        e = -2.0 + 4.0 * rng_pts[100 + 2 * i + 1]
+        a, e = _cube_point(1.0 + 19.0 * rng_pts[100 + 2 * i], -2.0 + 4.0 * rng_pts[100 + 2 * i + 1], 1e-4)
         fd = finite_diff_grad(lambda v: log_ratio_q_over_r(e, v), a, 1e-4)
         errs.append(_rel_err(fd, grad_log_ratio_gamma(e, a)))
     check("grad_log_ratio", errs, 1e-5)

@@ -151,6 +151,8 @@ class RunConfig:
             raise DomainError("bad run configuration")
         if not (self.eta > 0.0 and math.isfinite(self.eta)):
             raise DomainError("eta must be positive and finite")
+        if self.stop_tol is not None and not math.isfinite(self.stop_tol):
+            raise DomainError("stop_tol must be finite or None")
 
 
 def run_rsvi(model, theta_init, cfg: RunConfig, stream: RandomStream):

@@ -5,15 +5,15 @@ estimator (a reparameterization term from the accepted proposal plus a
 correction term for the target/proposal mismatch plus the analytic entropy
 gradient), the plain score-function estimator, and an importance-weighted
 variant that skips the accept step and weights by the target/proposal ratio.
-The pathwise and correction terms share one evaluation of the cube per
-draw: its h comes with the draw, and s, y and dh/dalpha are formed once.
+The sampler's half of each term (d ln z/d alpha, d log(q/r)/d alpha, the
+importance proposals) comes from `rejection`; this module forms no part of
+the cube and keeps the model's chain rule, the families and the weights.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -25,9 +25,9 @@ from .distributions import (
     _with_total,
 )
 from .exceptions import ContractError, DomainError
-from .mathcore import RandomStream, StreamBatch, _gamma_fns, _scalar_or_array, digamma
+from .mathcore import RandomStream, StreamBatch, _gamma_fns
 from .models import ModelSpec, ParamBlock
-from .rejection import _build_bank, _cube, _dh_dalpha, _draw_tail, _h, _log_ratio
+from .rejection import _build_bank, _propose, _shape_terms
 
 __all__ = [
     "EstimatorConfig",
@@ -35,7 +35,6 @@ __all__ = [
     "VarianceProfile",
     "ThetaState",
     "default_theta_init",
-    "grad_log_ratio_gamma",
     "estimate",
     "variance_profile",
     "estimate_elbo",
@@ -175,19 +174,6 @@ class ThetaState:
         self.entropy = value
         self.g_entropy.flags.writeable = False
 
-    @cached_property
-    def score_consts(self) -> list:
-        """theta-only parts of the score vectors, one per block: ln rate -
-        psi(shape) for mean-shape blocks, psi(sum conc) - psi(conc) for
-        Dirichlet blocks."""
-        consts = []
-        for bs in self.blocks:
-            if bs.pb.family == "gamma_mean_shape":
-                consts.append(np.log(bs.rates) - bs.psi)
-            else:
-                consts.append(bs.psi[-1] - bs.psi[:-1])
-        return consts
-
     def banks(self, aug_b: int) -> list:
         """One sampler bank per block: Gam(shape, shape/mean) or Gam(conc, 1)."""
         return [_build_bank(bs.shapes, bs.rates, aug_b) for bs in self.blocks]
@@ -200,45 +186,6 @@ def _state_for(model, theta, state) -> ThetaState:
     if state.model is not model or not (state.theta is theta or np.array_equal(state.theta, theta)):
         raise ContractError("the ThetaState passed was built for another model or theta")
     return state
-
-
-def grad_log_ratio_gamma(eps, alpha):
-    """d/d alpha of the target/proposal log-ratio at the accepted eps, alpha >= 1."""
-    scalar, eps, alpha, s, y = _cube("grad_log_ratio_gamma", eps, alpha)
-    glr = _glr_psi(eps, alpha, digamma(alpha), s, y, _h(alpha, y), _dh_dalpha(eps, s, y))
-    return _scalar_or_array(scalar, glr)
-
-
-def _glr_psi(eps, alpha, psi_alpha, s, y, h, ha):
-    """d/d alpha of the log-ratio, given psi(alpha) (the bank's psi_eff)
-    and the cube at eps: s = sqrt(9 alpha - 3), y = 1 + eps/s, h and
-    ha = dh/dalpha.
-
-    Sum of the target-density derivative ln h + (alpha-1) h_a / h - h_a
-    - psi(alpha) and the Jacobian derivative 1/(2(alpha - 1/3))
-    - 9 eps / ((1 + eps/s)(9 alpha - 3)^(3/2)). Drops to zero as alpha
-    grows, which is exactly why the correction term vanishes for
-    well-behaved shapes. The estimators pass alpha and psi(alpha) as
-    (1, k) rows against (replicates, k) eps, so a single replicate needs
-    no broadcasting.
-    """
-    d = alpha - 1.0 / 3.0
-    # in place on two arrays of h's shape (the full one, 0-d for scalars),
-    # in the order of ln h + (alpha - 1) ha / h - ha - psi + 0.5 / d
-    # - 9 eps / ((y (9 alpha - 3)) s)
-    out = np.log(h, out=np.empty(np.shape(h)))
-    t = np.multiply(ha, alpha - 1.0, out=np.empty(np.shape(h)))
-    t /= h
-    out += t
-    out -= ha
-    out -= psi_alpha
-    out += 0.5 / d
-    np.multiply(y, 9.0 * alpha - 3.0, out=t)
-    # above a shape of about 3.5e204 the product is inf, and the term 0
-    with np.errstate(over="ignore"):
-        t *= s
-    out -= np.divide(np.multiply(eps, 9.0), t, out=t)
-    return out
 
 
 # Latent draws per chunk of draws in estimate_elbo's model calls: it
@@ -324,25 +271,20 @@ def _reparam_terms(state, banks, draws, lz, f, gf, weight=None):
     `weight`, when given, holds one importance weight per row.
 
     g_rep is df/dlog z dot d log z / d theta. The shape path runs through
-    the transform (d ln h/dalpha), the augmentation uniforms' exponents
-    (aug_dsum), and -- for mean-shape blocks -- the rate shape/mean, which
-    contributes -1/shape; the mean path is d ln z/d mean = 1/mean.
-    Dirichlet blocks route through the simplex normalization,
-    d ln z_k/d ln z1_j = delta_kj - z_j. g_cor is f times the shape
-    derivative of the log-ratio at the accepted eps.
+    the sampler's d ln z/dalpha at a fixed rate (the bank's `_shape_terms`)
+    and -- for mean-shape blocks -- the rate shape/mean, which contributes
+    -1/shape; the mean path is d ln z/d mean = 1/mean. Dirichlet blocks
+    route through the simplex normalization, d ln z_k/d ln z1_j
+    = delta_kj - z_j. g_cor is f times the shape derivative of the
+    log-ratio at the accepted eps, the bank's other shape term.
     """
     g_rep = np.zeros((lz.shape[0], state.model.n_params))
     g_cor = np.zeros((lz.shape[0], state.model.n_params))
     wf = f[:, None] if weight is None else (weight * f)[:, None]
-    for bs, bank, (eps, h, aug_dsum) in zip(state.blocks, banks, draws):
+    for bs, bank, draw in zip(state.blocks, banks, draws):
         pb = bs.pb
         g_block, lz_block = gf[:, pb.latent_slice], lz[:, pb.latent_slice]
-        alpha, s = bank.eff_shapes[None], bank.cube_scale[None]
-        y = eps / s
-        y += 1.0
-        ha = _dh_dalpha(eps, s, y)
-        dlogz1_da = ha / h
-        dlogz1_da += aug_dsum
+        dlogz1_da, glr = _shape_terms(bank, *draw)
         if pb.family == "gamma_mean_shape":
             dlogz1_da -= 1.0 / bs.shapes
             np.multiply(g_block, dlogz1_da, out=g_rep[:, pb.shape_slice])
@@ -354,7 +296,6 @@ def _reparam_terms(state, banks, draws, lz, f, gf, weight=None):
             np.multiply(rep, dlogz1_da, out=g_rep[:, pb.theta_slice])
         if weight is not None:
             g_rep[:, pb.theta_slice] *= weight[:, None]
-        glr = _glr_psi(eps, alpha, bank.psi_eff[None], s, y, h, ha)
         np.multiply(wf, glr, out=g_cor[:, pb.shape_slice])
     return g_rep, g_cor
 
@@ -372,18 +313,18 @@ def _draw_score(state, banks, rows):
     lz_full = _log_latents(state, [bd.log_z for bd in bds])
     f = _eval_model(state.model, lz_full, with_grad=False)[0][:, None]
     g_cor = np.zeros((rows.size, state.model.n_params))
-    for bs, const in zip(state.blocks, state.score_consts):
+    for bs in state.blocks:
         pb = bs.pb
         lz = lz_full[:, pb.latent_slice]
         if pb.family == "gamma_mean_shape":
             shapes, means = bs.shapes, bs.means
             d_rate = means - np.exp(lz)  # shape/rate - z with rate = shape/mean
-            d_a = const + lz + d_rate / means
+            d_a = (np.log(bs.rates) - bs.psi) + lz + d_rate / means
             d_mu = d_rate * (-shapes / (means * means))
             g_cor[:, pb.shape_slice] = f * d_a
             g_cor[:, pb.mean_slice] = f * d_mu
         else:
-            g_cor[:, pb.theta_slice] = f * (lz + const)
+            g_cor[:, pb.theta_slice] = f * (lz + (bs.psi[-1] - bs.psi[:-1]))
     return np.zeros((rows.size, state.model.n_params)), g_cor, sum(bd.trials.sum(axis=1) for bd in bds)
 
 
@@ -399,14 +340,10 @@ def _draw_importance(state, banks, rows):
     log_w = np.zeros(n_rows)
     valid = np.ones(n_rows, dtype=bool)
     for bank in banks:
-        eps = rows.std_normals(bank.size)
-        y = 1.0 + eps / bank.cube_scale
-        inside = y > 0.0
+        eps, h, aug_dsum, log_z, bank_log_w, inside = _propose(bank, rows)
         valid &= inside.all(axis=1)
-        y = np.where(inside, y, 1.0)
-        h, aug_dsum, log_z = _draw_tail(bank, y, rows)
         # rows past the boundary accumulate a finite value that is never used
-        log_w += _log_ratio(eps, y, bank.eff_shapes, bank.log_M).sum(axis=1)
+        log_w += bank_log_w
         draws.append((eps, h, aug_dsum))
         log_zs.append(log_z)
     g_rep = np.zeros((n_rows, state.model.n_params))

@@ -427,34 +427,25 @@ def _def_log_joint_stack(m: SparseGammaDEF, lzs, lws, grad=False):
 
 def def_model_spec(m: SparseGammaDEF) -> ModelSpec:
     """Log-latent adapter; blocks ordered z1..zL then w0..w(L-1)."""
-    layout = []
-    for l, k in enumerate(m.layer_sizes):
-        layout.append(LatentBlock(f"z{l + 1}", "gamma_mean_shape", m.n_obs * k))
-    for l, shape in enumerate(m.weight_shapes()):
-        layout.append(LatentBlock(f"w{l}", "gamma_mean_shape", shape[0] * shape[1]))
-    spec_layout = tuple(layout)
-    shapes = [(m.n_obs, k) for k in m.layer_sizes] + m.weight_shapes()
-    n_latents = sum(a * b for a, b in shapes)
+    stacks = [(f"z{l + 1}", (m.n_obs, k)) for l, k in enumerate(m.layer_sizes)]
+    stacks += [(f"w{l}", shape) for l, shape in enumerate(m.weight_shapes())]
 
     def unpack(vmat):
         """Split an (n, n_latents) matrix of log latents into layer stacks."""
         vmat = np.asarray(vmat, dtype=float)
-        if vmat.ndim != 2 or vmat.shape[1] != n_latents:
-            raise DomainError(f"log latents must have {n_latents} entries per row, got shape {vmat.shape}")
+        if vmat.ndim != 2 or vmat.shape[1] != spec.n_latents:
+            raise DomainError(f"log latents must have {spec.n_latents} entries per row, got shape {vmat.shape}")
         if not np.all(np.isfinite(vmat)):
             raise DomainError("log-joint needs finite log latents")
-        parts = []
-        pos = 0
-        for shape in shapes:
-            size = shape[0] * shape[1]
-            parts.append(vmat[:, pos : pos + size].reshape(vmat.shape[0], *shape))
-            pos += size
+        n = vmat.shape[0]
+        parts = [vmat[:, pb.latent_slice].reshape(n, *shape) for pb, (_, shape) in zip(spec.blocks, stacks)]
         return parts[: m.n_layers], parts[m.n_layers :]
 
     def log_joint_batch(vmat, grad=False):
         return _def_log_joint_stack(m, *unpack(vmat), grad=grad)
 
-    return ModelSpec(spec_layout, log_joint_batch)
+    spec = ModelSpec([LatentBlock(name, "gamma_mean_shape", a * b) for name, (a, b) in stacks], log_joint_batch)
+    return spec
 
 
 def _poisson_draw(lam: float, stream: RandomStream) -> int:

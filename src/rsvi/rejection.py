@@ -14,17 +14,18 @@ The sampler banks carry that product in log space,
 ln z = ln h + sum_i ln(u_i)/(alpha + i - 1), because for small alpha the draw
 itself often lies below the smallest positive double.
 
-The cube, its shape derivative and the log-ratio each have one private
-kernel (`_h`, `_dh_dalpha`, `_log_ratio`), and so has a draw's tail,
-from y = 1 + eps/sqrt(9 alpha - 3) to h, the augmentation derivative and
-ln z (`_draw_tail`); the sampler, the estimators and the checked public
-functions all run them.
+The cube, its shape derivative, the log-ratio and its shape derivative
+each have one private kernel (`_h`, `_dh_dalpha`, `_log_ratio`,
+`_glr_psi`), and so has a draw's tail, from y = 1 + eps/sqrt(9 alpha - 3)
+to h, the augmentation derivative and ln z (`_draw_tail`). The estimators
+get the sampler's half of the gradient from here, d ln z/d alpha and
+d log(q/r)/d alpha (`_shape_terms`), and the importance proposals
+(`_propose`), and never form the cube themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .mathcore import (
     _ppnd_array as _ppnd,
     _scalar_or_array,
     _stream_words,
+    digamma,
 )
 
 __all__ = [
@@ -48,6 +50,7 @@ __all__ = [
     "dh_deps",
     "dh_dalpha",
     "log_ratio_q_over_r",
+    "grad_log_ratio_gamma",
     "make_sampler_bank",
 ]
 
@@ -146,6 +149,41 @@ def log_ratio_q_over_r(eps, alpha):
     return _scalar_or_array(scalar, _log_ratio(eps, y, alpha, _log_m_at_mode(alpha)))
 
 
+def grad_log_ratio_gamma(eps, alpha):
+    """d/d alpha of the target/proposal log-ratio at the accepted eps, alpha >= 1."""
+    scalar, eps, alpha, s, y = _cube("grad_log_ratio_gamma", eps, alpha)
+    return _scalar_or_array(scalar, _glr_psi(eps, alpha, digamma(alpha), s, y, _h(alpha, y), _dh_dalpha(eps, s, y)))
+
+
+def _glr_psi(eps, alpha, psi_alpha, s, y, h, ha):
+    """d/d alpha of the log-ratio, given psi(alpha) and the cube at eps:
+    s = sqrt(9 alpha - 3), y = 1 + eps/s, h and ha = dh/dalpha.
+
+    Sum of the target-density derivative ln h + (alpha-1) h_a / h - h_a
+    - psi(alpha) and the Jacobian derivative 1/(2(alpha - 1/3))
+    - 9 eps / ((1 + eps/s)(9 alpha - 3)^(3/2)). Drops to zero as alpha
+    grows, which is exactly why the correction term vanishes for
+    well-behaved shapes.
+    """
+    d = alpha - 1.0 / 3.0
+    # in place on two arrays of h's shape (the full one, 0-d for scalars),
+    # in the order of ln h + (alpha - 1) ha / h - ha - psi + 0.5 / d
+    # - 9 eps / ((y (9 alpha - 3)) s)
+    out = np.log(h, out=np.empty(np.shape(h)))
+    t = np.multiply(ha, alpha - 1.0, out=np.empty(np.shape(h)))
+    t /= h
+    out += t
+    out -= ha
+    out -= psi_alpha
+    out += 0.5 / d
+    np.multiply(y, 9.0 * alpha - 3.0, out=t)
+    # above a shape of about 3.5e204 the product is inf, and the term 0
+    with np.errstate(over="ignore"):
+        t *= s
+    out -= np.divide(np.multiply(eps, 9.0), t, out=t)
+    return out
+
+
 def _log_m_at_mode(alpha):
     """Envelope constant ln M, the sup over eps of the log-ratio, alpha >= 1.
 
@@ -179,10 +217,8 @@ class SamplerBank:
 
     `cube_scale`, sqrt(9 eff - 3) at each effective shape, is formed once
     when the bank is built; the rejection rounds, the draws' cube and the
-    gradient terms read it. `log_M` (the envelope constants) and `psi_eff`
-    (digamma of the effective shapes) are computed on first use: the
-    importance estimator reads the first, the correction term the second,
-    and a bank that only draws reads neither.
+    shape terms read it. No field is lazy: `log_M`, the envelope
+    constants, is computed on each read.
     """
 
     shapes: np.ndarray
@@ -191,13 +227,9 @@ class SamplerBank:
     eff_shapes: np.ndarray
     cube_scale: np.ndarray
 
-    @cached_property
+    @property
     def log_M(self) -> np.ndarray:
-        return _read_only(_log_m_at_mode(self.eff_shapes))
-
-    @cached_property
-    def psi_eff(self) -> np.ndarray:
-        return _read_only(_gamma_fns(self.eff_shapes, psi=True)[1])
+        return _log_m_at_mode(self.eff_shapes)
 
     @property
     def size(self) -> int:
@@ -261,6 +293,33 @@ def _draw_tail(bank: SamplerBank, y: np.ndarray, streams: StreamBatch, reps: int
         log_prod_u, aug_dsum = 0.0, np.zeros(y.shape)
     log_z = np.log(h) + log_prod_u - np.log(bank.rates)
     return h, aug_dsum, log_z
+
+
+def _propose(bank: SamplerBank, streams: StreamBatch):
+    """The importance estimator's proposals: bank.size normals from each
+    stream, with no accept step, then `_draw_tail`'s uniforms.
+
+    Returns (eps, h, aug_dsum, log_z, log_w, inside), each (streams, size)
+    but log_w, each stream's summed log-ratio q/r. A proposal at or below
+    the transform boundary is not `inside`; its tail runs at y = 1.
+    """
+    eps = streams.std_normals(bank.size)
+    y = 1.0 + eps / bank.cube_scale
+    inside = y > 0.0
+    y = np.where(inside, y, 1.0)
+    h, aug_dsum, log_z = _draw_tail(bank, y, streams)
+    log_w = _log_ratio(eps, y, bank.eff_shapes, bank.log_M).sum(axis=1)
+    return eps, h, aug_dsum, log_z, log_w, inside
+
+
+def _shape_terms(bank: SamplerBank, eps, h, aug_dsum):
+    """(d ln z/d alpha, d log(q/r)/d alpha) at (rows, size) draws of the
+    bank, from their eps, h and aug_dsum; alpha is the shape before
+    augmentation, at a fixed rate."""
+    alpha, s = bank.eff_shapes, bank.cube_scale
+    y = 1.0 + eps / s
+    ha = _dh_dalpha(eps, s, y)
+    return ha / h + aug_dsum, _glr_psi(eps, alpha, _gamma_fns(alpha, psi=True)[1], s, y, h, ha)
 
 
 @dataclass(frozen=True)

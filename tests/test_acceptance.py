@@ -29,7 +29,6 @@ from rsvi.estimators import (
     EstimatorConfig,
     default_theta_init,
     estimate,
-    grad_log_ratio_gamma,
     variance_profile,
 )
 from rsvi.mathcore import RandomStream, finite_diff_grad
@@ -44,6 +43,7 @@ from rsvi.models import (
 from rsvi.rejection import (
     dh_dalpha,
     dh_deps,
+    grad_log_ratio_gamma,
     h_gam,
     log_ratio_q_over_r,
     make_sampler_bank,

@@ -303,6 +303,16 @@ class TestGradcheck:
         assert run_cli("gradcheck", "--model", "def", "--layers", "3,2", "--n-obs", "4",
                        "--n-dim", "3", "--seed", "4") == 0
 
+    # every seed in 0-19,999 whose points, or their finite-difference
+    # stencils, reach alpha < 1 or eps at the support boundary
+    @pytest.mark.parametrize(
+        "seed", [2488, 5912, 6548, 9524, 10107, 10211, 10277, 12018, 14152, 15129, 15277, 17141, 18509, 18887]
+    )
+    def test_points_at_the_domain_edge(self, capsys, seed):
+        assert run_cli("gradcheck", "--seed", str(seed)) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 7 and "FAIL" not in out
+
 
 class TestVariance:
     def test_table_layout_and_determinism(self, tmp_path):
@@ -481,6 +491,18 @@ class TestFit:
         tail = json.loads((tmp_path / "numeric.trace.jsonl").read_text().splitlines()[-1])
         assert "non-finite" in tail["final"]["aborted"]
 
+    @pytest.mark.parametrize(
+        "flag",
+        ["--eta=0", "--eta=nan", "--eta=inf", "--iterations=-1", "--elbo-draws=0", "--stop-window=0",
+         "--stop-tol=nan"],
+    )
+    def test_bad_run_configuration_is_a_config_error(self, tmp_path, capsys, flag):
+        # the flag comes last, so it wins over the short --iterations
+        assert run_cli("fit", "--iterations", "5", "--seed", "1", "--out", str(tmp_path / "f"), flag) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert list(tmp_path.iterdir()) == []
+
     def test_optimizer_abort_exit_code(self, tmp_path, monkeypatch):
         def exploding_run(spec, theta0, cfg, stream):
             raise OptimizerAbortError("boom", theta0, [])
@@ -502,9 +524,12 @@ class TestContract:
             [sys.executable, "tools/contract.py", str(tmp_path)], cwd=root, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        assert len(list(tmp_path.iterdir())) == 99
+        assert len(list(tmp_path.iterdir())) == 108
         exits = {path.stem: path.read_text() for path in tmp_path.glob("*.exit")}
-        # every command exits 0 but the three that check a failure path
-        failing = {"sample-gamma-overflow": "4\n", "variance-theta-negative": "2\n", "fit-def-runaway": "4\n"}
-        assert len(exits) == 24
+        # every command exits 0 but the four that check a failure path
+        failing = {
+            "sample-gamma-overflow": "4\n", "variance-theta-negative": "2\n", "fit-stop-tol-nan": "2\n",
+            "fit-def-runaway": "4\n",
+        }
+        assert len(exits) == 27
         assert exits == {name: failing.get(name, "0\n") for name in exits}

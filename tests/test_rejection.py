@@ -14,6 +14,7 @@ from rsvi.models import LatentBlock, ModelSpec
 from rsvi.rejection import (
     dh_dalpha,
     dh_deps,
+    grad_log_ratio_gamma,
     h_gam,
     log_ratio_q_over_r,
     make_sampler_bank,
@@ -82,8 +83,6 @@ class TestLogRatio:
     def test_shape_sensitivity_decreases_with_alpha(self):
         # restricted to each shape's transform support (alpha=1 only covers
         # eps > -sqrt(6)); the boundary blow-up at small shapes is the point
-        from rsvi.estimators import grad_log_ratio_gamma
-
         grid = np.linspace(-3.0, 3.0, 241)
 
         def max_dalpha(alpha):

@@ -64,6 +64,10 @@ COMMANDS = {
     "gradcheck-def": ["gradcheck", "--model", "def", "--seed", "5"],
     # three layers, so the DEF kernel's middle-layer loop runs twice
     "gradcheck-def-3layer": ["gradcheck", "--model", "def", "--layers", "4,3,2", "--seed", "6"],
+    # points whose finite-difference stencils reach the support boundary
+    # (eps) or a shape below one (alpha) move inside the domain
+    "gradcheck-edge-eps": ["gradcheck", "--seed", "2488"],
+    "gradcheck-edge-alpha": ["gradcheck", "--seed", "5912"],
     "variance-conjugate": ["variance", *_ESTIMATORS, "--b", "0,1,4", "--g", "150", "--seed", "17", "--out", "{out}.csv"],
     # 700 replicates of 100 latents cross chunk boundaries whether a pass
     # holds 2**13 or 2**15 latent draws
@@ -82,6 +86,8 @@ COMMANDS = {
     "fit-conjugate-importance": [*_FIT, "--estimator", "importance", "--out", "{out}"],
     # two draws per estimate; the loose tolerance stops the fit at iteration 40
     "fit-conjugate-draws": [*_FIT, "--draws", "2", "--stop-tol", "1e9", "--stop-window", "20", "--out", "{out}"],
+    # a NaN stop tolerance would never stop a fit: exit 2, no files
+    "fit-stop-tol-nan": ["fit", "--iterations", "20", "--stop-tol", "nan", "--seed", "19", "--out", "{out}"],
     "fit-def": ["fit", "--model", "def", "--iterations", "50", "--seed", "21", "--out", "{out}"],
     # long enough for trace_stability to judge its full 1000-iteration span
     "fit-def-stable": [
