@@ -7,16 +7,7 @@ importance-weighted baseline, and a stochastic-ascent engine with an
 adaptive step-size schedule.
 """
 
-from .distributions import (
-    DirichletParams,
-    GammaMeanShapeParams,
-    GammaParams,
-    dirichlet_entropy,
-    dirichlet_entropy_grad,
-    dirichlet_kl,
-    gamma_entropy,
-    gamma_entropy_grad,
-)
+from .distributions import DirichletParams, dirichlet_entropy, dirichlet_kl
 from .engine import RunConfig, TraceRecord, run_rsvi, softplus, softplus_inv, step_size
 from .estimators import (
     EstimatorConfig,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -19,15 +20,7 @@ import sys
 import numpy as np
 
 from . import engine
-from .distributions import (
-    DirichletParams,
-    GammaParams,
-    dirichlet_entropy,
-    dirichlet_entropy_grad,
-    dirichlet_kl,
-    gamma_entropy,
-    gamma_entropy_grad,
-)
+from .distributions import DirichletParams, dirichlet_kl
 from .engine import RunConfig, run_rsvi, softplus_inv, softplus_jacobian, trace_stability
 from .estimators import (
     ESTIMATOR_KINDS,
@@ -41,6 +34,8 @@ from .exceptions import ContractError, DomainError, OptimizerAbortError, Sampler
 from .mathcore import RandomStream, _rel_err, finite_diff_grad, kolmogorov_sf, reg_inc_beta, reg_lower_gamma
 from .models import (
     ConjugateModel,
+    LatentBlock,
+    ModelSpec,
     SparseGammaDEF,
     conjugate_elbo_exact,
     conjugate_model_spec,
@@ -364,21 +359,22 @@ def cmd_gradcheck(cfg: dict) -> int:
         errs.append(_rel_err(fd, grad_log_ratio_gamma(e, a)))
     check("grad_log_ratio", errs, 1e-5)
 
-    errs = []
-    pts = stream.uniforms(40)
-    for i in range(20):
-        p = GammaParams(0.2 + 5.0 * pts[2 * i], 0.2 + 5.0 * pts[2 * i + 1])
-        fd = finite_diff_grad(lambda v: gamma_entropy(GammaParams(v[0], v[1])), np.array([p.shape, p.rate]), 1e-6)
-        errs.append(_rel_err(fd, gamma_entropy_grad(p)))
-    check("gamma_entropy_grad", errs, 1e-6)
-
-    errs = []
-    pts = stream.uniforms(60)
-    for i in range(20):
-        conc = 0.3 + 4.0 * pts[3 * i : 3 * i + 3]
-        fd = finite_diff_grad(lambda v: dirichlet_entropy(DirichletParams(v)), conc, 1e-6)
-        errs.append(_rel_err(fd, dirichlet_entropy_grad(DirichletParams(conc))))
-    check("dirichlet_entropy_grad", errs, 1e-6)
+    # the entropy gradient the estimators add, from ThetaState on one-block
+    # specs whose log-joint is never called: theta is (shape, mean) for the
+    # gamma and three concentrations for the Dirichlet
+    for name, family, dim, low, scale in (
+        ("gamma_entropy_grad", "gamma_mean_shape", 1, 0.2, 5.0),
+        ("dirichlet_entropy_grad", "dirichlet", 3, 0.3, 4.0),
+    ):
+        one_block = ModelSpec([LatentBlock("q", family, dim)], None)
+        n = one_block.n_params
+        pts = low + scale * stream.uniforms(20 * n)
+        errs = []
+        for i in range(20):
+            theta = pts[n * i : n * i + n]
+            fd = finite_diff_grad(lambda v: ThetaState(one_block, v).entropy, theta, 1e-6)
+            errs.append(_rel_err(fd, ThetaState(one_block, theta).g_entropy))
+        check(name, errs, 1e-6)
 
     xs = np.linspace(-30.0, 30.0, 21)
     fd = np.array([finite_diff_grad(lambda v: engine.softplus(v), float(x), 1e-6) for x in xs])
@@ -517,16 +513,10 @@ def cmd_fit(cfg: dict) -> int:
     with open(trace_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"config": config}) + "\n")
         for rec in trace:
-            row = {
-                "iteration": rec.iteration,
-                "elbo": rec.elbo,
-                "step_norm": rec.step_norm,
-                "grad_norm": rec.grad_norm,
-                "trials": rec.trials,
-                "accept_rate": rec.accept_rate,
-            }
+            row = dataclasses.asdict(rec)
+            wall_clock = row.pop("wall_clock")
             if include_clock:
-                row["wall_clock"] = rec.wall_clock
+                row["wall_clock"] = wall_clock
             fh.write(json.dumps(row) + "\n")
         fh.write(json.dumps({"final": final}) + "\n")
     payload = {

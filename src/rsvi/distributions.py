@@ -1,64 +1,22 @@
-"""Gamma and Dirichlet parameters, entropies and entropy gradients.
+"""Gamma and Dirichlet entropies, their gradients, and the Dirichlet KL.
 
-The two gamma parameterizations are distinct types on purpose: shape/rate is
-the natural density parameterization, shape/mean is what the layered count
-models optimize in, and the chain rules differ between them.
+The private kernels take the special functions of the shapes from the
+caller, so `estimators.ThetaState`, the one producer of the variational
+entropy and its gradient, evaluates them in one `_gamma_fns` call per block.
+The public functions are the Dirichlet entropy and KL that the conjugate
+model's exact ELBO and `rsvi fit`'s reported KL use.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DomainError
-from .mathcore import _gamma_fns, trigamma
+from .mathcore import _gamma_fns
 
-__all__ = [
-    "GammaParams",
-    "GammaMeanShapeParams",
-    "DirichletParams",
-    "gamma_entropy",
-    "gamma_entropy_grad",
-    "gamma_entropy_grad_mean_shape",
-    "dirichlet_entropy",
-    "dirichlet_entropy_grad",
-    "dirichlet_kl",
-]
-
-def _require_positive_scalar(value, name):
-    v = float(value)
-    if not (math.isfinite(v) and v > 0.0):
-        raise DomainError(f"{name} must be a positive finite real, got {value!r}")
-    return v
-
-
-@dataclass(frozen=True)
-class GammaParams:
-    """Gamma distribution with shape `shape` and rate `rate`."""
-
-    shape: float
-    rate: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "shape", _require_positive_scalar(self.shape, "shape"))
-        object.__setattr__(self, "rate", _require_positive_scalar(self.rate, "rate"))
-
-
-@dataclass(frozen=True)
-class GammaMeanShapeParams:
-    """Gamma distribution given by shape and mean (rate = shape / mean)."""
-
-    shape: float
-    mean: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "shape", _require_positive_scalar(self.shape, "shape"))
-        object.__setattr__(self, "mean", _require_positive_scalar(self.mean, "mean"))
-
-    def as_shape_rate(self) -> GammaParams:
-        return GammaParams(self.shape, self.shape / self.mean)
+__all__ = ["DirichletParams", "dirichlet_entropy", "dirichlet_kl"]
 
 
 @dataclass(frozen=True)
@@ -88,32 +46,12 @@ def _gamma_entropy(shapes, rates, lg_shapes, psi_shapes):
     return shapes - np.log(rates) + lg_shapes + (1.0 - shapes) * psi_shapes
 
 
-def _gamma_entropy_dshape(shapes, psi1_shapes):
-    """dH/dshape at fixed rate, 1 + (1 - shape) psi'(shape), elementwise."""
-    return 1.0 + (1.0 - shapes) * psi1_shapes
-
-
 def _gamma_entropy_grad_mean_shape(shapes, means, psi1_shapes):
     """(dH/dshape, dH/dmean) of the mean-shape gamma, elementwise, given
-    psi'(shape). With rate = shape/mean the rate path contributes -1/shape
-    to the shape component and +1/mean to the mean component."""
-    return _gamma_entropy_dshape(shapes, psi1_shapes) - 1.0 / shapes, 1.0 / means
-
-
-def gamma_entropy(p: GammaParams) -> float:
-    """H = shape - ln rate + ln Gamma(shape) + (1 - shape) psi(shape)."""
-    lg, psi, _ = _gamma_fns(p.shape, lgamma=True, psi=True)
-    return float(_gamma_entropy(p.shape, p.rate, lg, psi))
-
-
-def gamma_entropy_grad(p: GammaParams) -> tuple[float, float]:
-    """(dH/dshape, dH/drate) = (1 + (1 - shape) psi'(shape), -1/rate)."""
-    return _gamma_entropy_dshape(p.shape, trigamma(p.shape)), -1.0 / p.rate
-
-
-def gamma_entropy_grad_mean_shape(p: GammaMeanShapeParams) -> tuple[float, float]:
-    """(dH/dshape, dH/dmean) at fixed mean resp. fixed shape."""
-    return _gamma_entropy_grad_mean_shape(p.shape, p.mean, trigamma(p.shape))
+    psi'(shape): 1 + (1 - shape) psi'(shape) at a fixed rate, plus -1/shape
+    to the shape component and +1/mean to the mean component through the
+    rate shape/mean."""
+    return 1.0 + (1.0 - shapes) * psi1_shapes - 1.0 / shapes, 1.0 / means
 
 
 def _with_total(a: np.ndarray) -> np.ndarray:
@@ -125,10 +63,6 @@ def _with_total(a: np.ndarray) -> np.ndarray:
 def dirichlet_entropy(p: DirichletParams) -> float:
     lg, psi, _ = _gamma_fns(_with_total(p.conc), lgamma=True, psi=True)
     return _dirichlet_entropy(p.conc, lg, psi)
-
-
-def dirichlet_entropy_grad(p: DirichletParams) -> np.ndarray:
-    return _dirichlet_entropy_grad(p.conc, _gamma_fns(_with_total(p.conc), psi1=True)[2])
 
 
 def _dirichlet_entropy(a: np.ndarray, lg: np.ndarray, psi: np.ndarray) -> float:

@@ -137,12 +137,13 @@ class ThetaState:
     Building it checks theta (right shape, positive and finite, and every
     derived rate shape/mean positive and finite), evaluates the special
     functions of each block's shapes (and a Dirichlet block's total) in
-    one call per block, and the analytic entropy and its gradient. It
-    splits theta through the slices of `model.blocks`, one BlockState per
-    block, and forms no slice of its own. `estimate` and `estimate_elbo`
-    build one when none is passed; `run_rsvi` builds one per iterate and
-    passes it to the ELBO of the step that reached the iterate and to the
-    gradient estimate taken there. `theta` is a read-only copy.
+    one call per block, and the analytic entropy and its gradient, of
+    which it is the program's one producer. It splits theta through the
+    slices of `model.blocks`, one BlockState per block, and forms no slice
+    of its own. `estimate` and `estimate_elbo` build one when none is
+    passed; `run_rsvi` builds one per iterate and passes it to the ELBO of
+    the step that reached the iterate and to the gradient estimate taken
+    there. `theta` is a read-only copy.
     """
 
     def __init__(self, model: ModelSpec, theta):
@@ -188,18 +189,13 @@ def _state_for(model, theta, state) -> ThetaState:
     return state
 
 
-# Latent draws per chunk of draws in estimate_elbo's model calls: it
-# bounds the model's temporaries, which on the DEF cost page faults past
-# this size. Results do not depend on it: the model evaluates each row on
-# its own.
-_CHUNK_DRAWS = 2**13
-
-# Most latent draws per pass of variance_profile's replicates through the
-# estimate pipeline. Each pass pays the pipeline's few hundred numpy calls
-# once, so the pass is as wide as memory allows; results do not depend on
-# it, because every replicate draws from its own stream and every kernel
-# acts row by row.
-_PROFILE_DRAWS = 2**15
+# Most latent draws per pass: of variance_profile's replicates through the
+# estimate pipeline, and of estimate_elbo's draws through the model. Each
+# pass pays its few hundred numpy calls once, so the pass is as wide as
+# memory allows; results do not depend on it, because every replicate
+# draws from its own stream and every kernel, the model's too, acts row by
+# row.
+_PASS_DRAWS = 2**15
 
 
 def _log_simplex(log_z, out=None):
@@ -430,7 +426,7 @@ def variance_profile(model, theta, cfg, G: int, stream: RandomStream) -> Varianc
 
     Replicate g draws from the child stream stream.child(g), so profiles
     are reproducible; `stream` itself is not advanced. The replicates are
-    evaluated together, in the fewest passes of at most _PROFILE_DRAWS
+    evaluated together, in the fewest passes of at most _PASS_DRAWS
     latent draws, split into chunks of equal size (the last may be
     smaller), so a pass's working memory stays bounded whatever G is.
     Each replicate's total is bit-identical to
@@ -441,7 +437,7 @@ def variance_profile(model, theta, cfg, G: int, stream: RandomStream) -> Varianc
         raise ContractError("variance_profile needs G >= 2 replicates")
     state = ThetaState(model, theta)
     banks = state.banks(cfg.aug_b)
-    passes = -(-G // max(1, _PROFILE_DRAWS // model.n_latents))
+    passes = -(-G // max(1, _PASS_DRAWS // model.n_latents))
     per_chunk = -(-G // passes)
     children = StreamBatch.children(stream, G)
     totals = np.empty((G, state.model.n_params))
@@ -476,7 +472,7 @@ def estimate_elbo(
     log_zs = [bank.draw_batch(stream, n_draws).log_z for bank in state.banks(0)]
     lz = _log_latents(state, log_zs)
     # the model runs on chunks of rows, which bounds its temporaries
-    per_chunk = max(1, _CHUNK_DRAWS // model.n_latents)
+    per_chunk = max(1, _PASS_DRAWS // model.n_latents)
     chunks = [lz[lo : lo + per_chunk] for lo in range(0, n_draws, per_chunk)]
     f = np.concatenate([_log_joint_values(model.log_joint_batch(c), len(c)) for c in chunks])
     elbo = float(np.mean(f)) + state.entropy

@@ -117,12 +117,13 @@ def _gamma_fns(x, lgamma=False, psi=False, psi1=False):
     acc_lg = acc_psi = acc_psi1 = None
     if lgamma:
         acc_lg = np.subtract.reduce(np.log(taken), axis=0, initial=0.0, where=below)
-    if psi:
-        acc_psi = np.subtract.reduce(1.0 / taken, axis=0, initial=0.0, where=below)
-    if psi1:
-        # acc - (-t) is acc + t, bit for bit; a step below about 1e-154
-        # squares to 0 and its term is -inf
-        with np.errstate(divide="ignore"):
+    # a step below about 5.6e-309 has a psi term of inf, and one below about
+    # 1e-154 a psi1 term of -inf: the IEEE answers, which callers reject
+    with np.errstate(over="ignore", divide="ignore"):
+        if psi:
+            acc_psi = np.subtract.reduce(1.0 / taken, axis=0, initial=0.0, where=below)
+        if psi1:
+            # acc - (-t) is acc + t, bit for bit
             acc_psi1 = np.subtract.reduce(-1.0 / (taken * taken), axis=0, initial=0.0, where=below)
     inv = 1.0 / x
     inv2 = inv * inv

@@ -362,14 +362,14 @@ def _augment(shapes: np.ndarray, b_steps: np.ndarray, aug_u: np.ndarray):
     for j in range(aug_u.shape[-2]):
         shifted = shapes + j
         step = np.log(aug_u[..., j, :])
-        step /= shifted
-        unused = j >= b_steps
-        if unused.any():
-            step[..., unused] = 0.0
-        log_prod_u += step
-        # at a shape near 1e-200, ln(u)/shape^2 overflows to -inf, which
-        # the estimators then reject
+        # ln(u)/shape overflows to -inf at shapes below about 2e-307, and
+        # ln(u)/shape^2 below about 1e-154; the estimators reject either
         with np.errstate(over="ignore"):
+            step /= shifted
+            unused = j >= b_steps
+            if unused.any():
+                step[..., unused] = 0.0
+            log_prod_u += step
             step /= shifted
         aug_dsum -= step
     return log_prod_u, aug_dsum

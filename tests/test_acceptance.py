@@ -13,20 +13,11 @@ import pytest
 from scipy import special, stats
 
 from rsvi import cli
-from rsvi.distributions import (
-    DirichletParams,
-    GammaMeanShapeParams,
-    GammaParams,
-    dirichlet_entropy,
-    dirichlet_entropy_grad,
-    dirichlet_kl,
-    gamma_entropy,
-    gamma_entropy_grad,
-    gamma_entropy_grad_mean_shape,
-)
+from rsvi.distributions import DirichletParams, dirichlet_kl
 from rsvi.engine import RunConfig, run_rsvi, softplus, softplus_jacobian, trace_stability
 from rsvi.estimators import (
     EstimatorConfig,
+    ThetaState,
     default_theta_init,
     estimate,
     variance_profile,
@@ -34,6 +25,8 @@ from rsvi.estimators import (
 from rsvi.mathcore import RandomStream, finite_diff_grad
 from rsvi.models import (
     ConjugateModel,
+    LatentBlock,
+    ModelSpec,
     SparseGammaDEF,
     conjugate_exact_elbo_grad,
     conjugate_model_spec,
@@ -221,24 +214,21 @@ def test_criterion_07_analytic_derivative_suite(conj_spec):
         errs.append(rel(grad_log_ratio_gamma(e, a), finite_diff_grad(lambda v: log_ratio_q_over_r(e, v), a, 1e-4)))
     checks["grad_log_ratio"] = float(np.max(errs))
 
-    errs, errs_ms = [], []
-    for _ in range(20):
-        a, b = 0.3 + 5.0 * stream.uniform(), 0.3 + 5.0 * stream.uniform()
-        fd = finite_diff_grad(lambda v: gamma_entropy(GammaParams(v[0], v[1])), np.array([a, b]), 1e-6)
-        errs.append(rel(np.array(gamma_entropy_grad(GammaParams(a, b))), fd))
-        fd_ms = finite_diff_grad(
-            lambda v: gamma_entropy(GammaMeanShapeParams(v[0], v[1]).as_shape_rate()),
-            np.array([a, b]), 1e-6,
-        )
-        errs_ms.append(rel(np.array(gamma_entropy_grad_mean_shape(GammaMeanShapeParams(a, b))), fd_ms))
-    checks["gamma_entropy_grad"] = float(np.max(errs))
-    checks["gamma_entropy_grad_mean_shape"] = float(np.max(errs_ms))
+    # the entropy gradient the estimators add: ThetaState on one-block specs
+    # whose log-joint is never called, at theta = (shape, mean) for the gamma
+    def entropy_grad_err(spec, theta):
+        fd = finite_diff_grad(lambda v: ThetaState(spec, v).entropy, theta, 1e-6)
+        return rel(ThetaState(spec, theta).g_entropy, fd)
 
+    gamma = ModelSpec([LatentBlock("q", "gamma_mean_shape", 1)], None)
     errs = []
     for _ in range(20):
-        conc = 0.3 + 4.0 * stream.uniforms(4)
-        fd = finite_diff_grad(lambda v: dirichlet_entropy(DirichletParams(v)), conc, 1e-6)
-        errs.append(rel(dirichlet_entropy_grad(DirichletParams(conc)), fd))
+        a, b = 0.3 + 5.0 * stream.uniform(), 0.3 + 5.0 * stream.uniform()
+        errs.append(entropy_grad_err(gamma, np.array([a, b])))
+    checks["gamma_entropy_grad"] = float(np.max(errs))
+
+    dirichlet = ModelSpec([LatentBlock("q", "dirichlet", 4)], None)
+    errs = [entropy_grad_err(dirichlet, 0.3 + 4.0 * stream.uniforms(4)) for _ in range(20)]
     checks["dirichlet_entropy_grad"] = float(np.max(errs))
 
     xs = -25.0 + 50.0 * stream.uniforms(25)

@@ -524,12 +524,16 @@ class TestContract:
             [sys.executable, "tools/contract.py", str(tmp_path)], cwd=root, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        assert len(list(tmp_path.iterdir())) == 108
+        assert len(list(tmp_path.iterdir())) == 111
         exits = {path.stem: path.read_text() for path in tmp_path.glob("*.exit")}
-        # every command exits 0 but the four that check a failure path
+        # every command exits 0 but the five that check a failure path
         failing = {
-            "sample-gamma-overflow": "4\n", "variance-theta-negative": "2\n", "fit-stop-tol-nan": "2\n",
-            "fit-def-runaway": "4\n",
+            "sample-gamma-overflow": "4\n", "variance-theta-negative": "2\n", "variance-theta-tiny": "4\n",
+            "fit-stop-tol-nan": "2\n", "fit-def-runaway": "4\n",
         }
-        assert len(exits) == 27
+        assert len(exits) == 28
         assert exits == {name: failing.get(name, "0\n") for name in exits}
+        # a failure is reported as one line of its own, never with a numpy
+        # warning ahead of it
+        leaks = [path.name for path in tmp_path.glob("*.stderr") if "Warning:" in path.read_text()]
+        assert not leaks, leaks

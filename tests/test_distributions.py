@@ -5,69 +5,55 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from rsvi.distributions import (
-    DirichletParams,
-    GammaMeanShapeParams,
-    GammaParams,
-    dirichlet_entropy,
-    dirichlet_entropy_grad,
-    dirichlet_kl,
-    gamma_entropy,
-    gamma_entropy_grad,
-    gamma_entropy_grad_mean_shape,
-)
+from rsvi.distributions import DirichletParams, dirichlet_entropy, dirichlet_kl
+from rsvi.estimators import ThetaState
 from rsvi.exceptions import DomainError
 from rsvi.mathcore import RandomStream, finite_diff_grad
+from rsvi.models import LatentBlock, ModelSpec
 from rsvi.rejection import make_sampler_bank
 
 pos = st.floats(min_value=0.2, max_value=25.0)
 
 
+def one_block(family, dim):
+    """A one-latent-block spec for ThetaState's entropy; its log-joint is
+    never called."""
+    return ModelSpec([LatentBlock("q", family, dim)], None)
+
+
+def entropy_grad_error(spec, theta):
+    """Relative error of ThetaState's entropy gradient against central
+    differences of its entropy."""
+    fd = finite_diff_grad(lambda v: ThetaState(spec, v).entropy, theta, 1e-6)
+    an = ThetaState(spec, theta).g_entropy
+    return np.max(np.abs(an - fd) / np.maximum(1.0, np.abs(fd)))
+
+
 class TestParams:
     def test_validation(self):
-        for bad in [(0.0, 1.0), (1.0, -2.0), (float("nan"), 1.0)]:
-            with pytest.raises(DomainError):
-                GammaParams(*bad)
         with pytest.raises(DomainError):
             DirichletParams(np.array([1.0]))
         with pytest.raises(DomainError):
             DirichletParams(np.array([1.0, -1.0]))
 
-    def test_mean_shape_conversion(self):
-        p = GammaMeanShapeParams(2.0, 4.0).as_shape_rate()
-        assert p.shape == 2.0 and p.rate == 0.5
-
 
 class TestGammaEntropy:
-    def test_frozen_values(self):
-        assert gamma_entropy(GammaParams(1.0, 1.0)) == pytest.approx(1.0, abs=1e-13)
-        assert gamma_entropy(GammaParams(1.0, math.e)) == pytest.approx(0.0, abs=1e-13)
+    """The mean-shape gamma entropy and its gradient, as ThetaState forms them."""
 
-    @given(pos, pos)
-    def test_grad_matches_finite_differences(self, a, b):
-        fd = finite_diff_grad(
-            lambda v: gamma_entropy(GammaParams(v[0], v[1])), np.array([a, b]), 1e-6
-        )
-        an = np.array(gamma_entropy_grad(GammaParams(a, b)))
-        assert np.max(np.abs(an - fd) / np.maximum(1.0, np.abs(fd))) <= 1e-6
+    def test_frozen_values(self):
+        spec = one_block("gamma_mean_shape", 1)
+        assert ThetaState(spec, [1.0, 1.0]).entropy == pytest.approx(1.0, abs=1e-13)
+        # shape 1 and mean 1/e is rate e
+        assert ThetaState(spec, [1.0, 1.0 / math.e]).entropy == pytest.approx(0.0, abs=1e-13)
 
     @given(pos, pos)
     def test_mean_shape_grad_matches_finite_differences(self, a, mu):
-        fd = finite_diff_grad(
-            lambda v: gamma_entropy(GammaMeanShapeParams(v[0], v[1]).as_shape_rate()),
-            np.array([a, mu]),
-            1e-6,
-        )
-        an = np.array(gamma_entropy_grad_mean_shape(GammaMeanShapeParams(a, mu)))
-        assert np.max(np.abs(an - fd) / np.maximum(1.0, np.abs(fd))) <= 1e-6
+        assert entropy_grad_error(one_block("gamma_mean_shape", 1), np.array([a, mu])) <= 1e-6
 
 
 class TestDirichlet:
     def test_entropy_grad_matches_finite_differences(self):
-        conc = np.array([2.0, 3.0, 4.0])
-        fd = finite_diff_grad(lambda v: dirichlet_entropy(DirichletParams(v)), conc, 1e-6)
-        an = dirichlet_entropy_grad(DirichletParams(conc))
-        assert np.max(np.abs(an - fd) / np.maximum(1.0, np.abs(fd))) <= 1e-6
+        assert entropy_grad_error(one_block("dirichlet", 3), np.array([2.0, 3.0, 4.0])) <= 1e-6
 
     def test_entropy_matches_reference(self):
         conc = np.array([0.6, 2.0, 5.5])

@@ -334,7 +334,7 @@ class TestReplicateBatch:
         cfg = EstimatorConfig(kind, aug_b=B, draws=draws)
         # a budget of 8 rows per pass splits 20 replicates into three passes
         # of 7, 7 and 6, so two chunk boundaries fall inside the batch
-        monkeypatch.setattr(estimators, "_PROFILE_DRAWS", 8 * spec.n_latents)
+        monkeypatch.setattr(estimators, "_PASS_DRAWS", 8 * spec.n_latents)
         G = 20
         root = RandomStream(61, 2)
         loop = np.array([estimate(spec, theta, cfg, root.child(g)).total for g in range(G)])
@@ -387,7 +387,7 @@ class TestReplicateBatch:
         # itself must hold, each replicate's total (n_params doubles) and
         # its child stream's key and counter (two uint64)
         spec = self._k100_spec()
-        most = estimators._PROFILE_DRAWS // spec.n_latents
+        most = estimators._PASS_DRAWS // spec.n_latents
         cfg = EstimatorConfig(kind, aug_b=B)
         working = []
         for G in (most, 4 * most):
@@ -541,13 +541,19 @@ class TestElbo:
         assert ThetaState(conj5_spec, theta5).entropy == pytest.approx(dirichlet_entropy(q5), rel=1e-12)
 
     @pytest.mark.filterwarnings("error")
-    def test_model_runs_on_chunks_of_rows(self):
-        # the (10,5) DEF has 1000 latents, so 25 draws are 4 chunks of
-        # _CHUNK_DRAWS // 1000 = 8 rows, and the ELBO equals one 25-row call
+    def test_model_runs_on_chunks_of_rows(self, monkeypatch):
+        # the (10,5) DEF has 1000 latents; a pass width of 8000 latent draws
+        # splits 25 draws into 4 chunks of 8 rows, and the ELBO equals one
+        # 25-row call
         counts, _ = make_synthetic_def_data((10, 5), 50, 20, RandomStream(0, 977))
         spec = def_model_spec(SparseGammaDEF((10, 5), counts))
         calls = []
         chunked = recorded_spec(spec, calls)
+        # at the shipped width the 25 draws are one call
+        estimate_elbo(chunked, default_theta_init(spec), 25, RandomStream(0, 5))
+        assert calls == [(25, False)]
+        calls.clear()
+        monkeypatch.setattr(estimators, "_PASS_DRAWS", 8 * spec.n_latents)
         theta0 = default_theta_init(spec)
         theta = theta0 * np.linspace(0.6, 1.8, theta0.size)
         for seed in range(3):
@@ -630,27 +636,31 @@ class TestThetaState:
         assert alone.counter == handed.counter
         assert state.entropy == ThetaState(spec, theta).entropy
 
-    def test_gamma_entropy_is_the_public_formula(self):
-        # one mean-shape latent per state, so its sums hold a single term
-        from rsvi.distributions import GammaMeanShapeParams, gamma_entropy, gamma_entropy_grad_mean_shape
-
+    def test_gamma_entropy_is_the_closed_form(self):
+        # one mean-shape latent per state, so its sums hold a single term:
+        # H = shape - ln(shape/mean) + ln Gamma(shape) + (1 - shape) psi(shape)
         spec = gamma_toy_model([1.0], [1.0])
         for shape, mean in [(0.3, 2.0), (1.0, 1.0), (4.7, 0.2), (40.0, 9.0)]:
             state = ThetaState(spec, np.array([shape, mean]))
-            p = GammaMeanShapeParams(shape, mean)
-            assert state.entropy == gamma_entropy(p.as_shape_rate())
-            assert state.g_entropy.tolist() == list(gamma_entropy_grad_mean_shape(p))
+            entropy = shape - math.log(shape / mean) + special.gammaln(shape) + (1.0 - shape) * special.digamma(shape)
+            d_shape = 1.0 + (1.0 - shape) * special.polygamma(1, shape) - 1.0 / shape
+            assert state.entropy == pytest.approx(entropy, rel=1e-13, abs=1e-13)
+            assert state.g_entropy == pytest.approx([d_shape, 1.0 / mean], rel=1e-12, abs=1e-13)
 
     @pytest.mark.parametrize(
         "conc", [[1.4, 0.8, 2.2, 1.0, 3.0], [0.05] * 7, np.linspace(0.3, 4.0, 100)], ids=["theta5", "tiny", "k100"]
     )
     def test_dirichlet_entropy_is_the_public_formula(self, conc):
-        from rsvi.distributions import DirichletParams, dirichlet_entropy, dirichlet_entropy_grad
+        # the entropy is the public dirichlet_entropy; its gradient is the
+        # closed form (a0 - k) psi'(a0) - (a - 1) psi'(a)
+        from rsvi.distributions import DirichletParams, dirichlet_entropy
 
         conc = np.asarray(conc)
         state = ThetaState(flat_model(conc.size), conc)
         assert state.entropy == dirichlet_entropy(DirichletParams(conc))
-        assert np.array_equal(state.g_entropy, dirichlet_entropy_grad(DirichletParams(conc)))
+        a0, k = conc.sum(), conc.size
+        grad = (a0 - k) * special.polygamma(1, a0) - (conc - 1.0) * special.polygamma(1, conc)
+        assert state.g_entropy == pytest.approx(grad, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("model", ["conj5", "def_small", "toy"])
     def test_one_special_function_call_per_block(self, request, monkeypatch, model):

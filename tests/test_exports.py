@@ -41,9 +41,9 @@ def test_package_root_imports_exist():
         assert hasattr(rsvi, attr), attr
 
 
-# exported for the acceptance suite, which checks the program against them;
-# no program path calls them
-TEST_ORACLES = {"conjugate_exact_elbo_grad", "gamma_entropy_grad_mean_shape"}
+# exported for the acceptance suite, which checks the program against it;
+# no program path calls it
+TEST_ORACLES = {"conjugate_exact_elbo_grad"}
 
 
 def _defined_names(stmt):

@@ -95,10 +95,19 @@ class TestDigammaTrigamma:
 
     def test_tiny_trigamma_argument_is_inf_in_both_forms(self):
         # below about 1e-154, x*x underflows to 0 and 1/x^2 is inf
-        with np.errstate(divide="ignore"):
-            array_form = trigamma(np.array([1e-200]))[0]
+        array_form = trigamma(np.array([1e-200]))[0]
         assert array_form == math.inf
         assert trigamma(1e-200) == array_form
+
+    @pytest.mark.filterwarnings("error")
+    def test_digamma_below_the_smallest_normal_is_minus_inf(self):
+        # 1/x overflows below about 5.6e-309: the IEEE answer, no warning
+        assert digamma(1e-310) == -math.inf
+
+    @pytest.mark.filterwarnings("error")
+    def test_trigamma_where_the_square_is_subnormal_is_inf(self):
+        # x*x is subnormal, and 1/x^2 overflows: the IEEE answer, no warning
+        assert trigamma(1e-160) == math.inf
 
 
 def _shift_loop_reference(x):

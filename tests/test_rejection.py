@@ -279,6 +279,14 @@ class TestLogSpaceDraws:
         assert np.all(np.isfinite(est.total))
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_shape_below_the_smallest_normal_draws_log_z_of_minus_inf(self):
+        # ln(u)/shape overflows in the augmentation step: log z is -inf,
+        # which the estimators reject, and numpy warns of nothing
+        bank = make_sampler_bank(1e-320, 1.0, 0)
+        assert np.all(bank.draw_batch(RandomStream(4, 0), 5).log_z == -math.inf)
+
+
 def _simplex(log_z):
     """Bank draws normalized onto the simplex in log space."""
     return np.exp(log_z - np.logaddexp.reduce(log_z, axis=-1, keepdims=True))

@@ -11,7 +11,8 @@ their output files relative to OUT_DIR, so the `# rsvi ... config` header
 lines do not depend on where OUT_DIR is. For command NAME it writes the
 command's own files, `NAME.stdout`, `NAME.stderr` and `NAME.exit`. Most
 commands exit 0; the ones that check a failure path say which exit they
-expect.
+expect. Each command's stderr holds the warnings it would print when run
+alone.
 
 Two checkouts that behave alike give identical directories:
 
@@ -28,6 +29,7 @@ import contextlib
 import io
 import os
 import sys
+import warnings
 
 _FIT = ["fit", "--iterations", "100", "--seed", "19"]
 _ESTIMATORS = ["--estimators", "rsvi,score_function,importance"]
@@ -69,8 +71,8 @@ COMMANDS = {
     "gradcheck-edge-eps": ["gradcheck", "--seed", "2488"],
     "gradcheck-edge-alpha": ["gradcheck", "--seed", "5912"],
     "variance-conjugate": ["variance", *_ESTIMATORS, "--b", "0,1,4", "--g", "150", "--seed", "17", "--out", "{out}.csv"],
-    # 700 replicates of 100 latents cross chunk boundaries whether a pass
-    # holds 2**13 or 2**15 latent draws
+    # 700 replicates of 100 latents, three passes of at most 2**15 latent
+    # draws (234, 234 and 232 replicates)
     "variance-k100": [
         "variance", *_K100, "--estimators", "rsvi,importance,score_function", "--b", "1", "--g", "700",
         "--seed", "20", "--out", "{out}.csv",
@@ -80,6 +82,9 @@ COMMANDS = {
     "variance-theta-negative": [
         "variance", "--theta", "2,1,-1,1,0.5", "--g", "200", "--seed", "22", "--out", "{out}.csv",
     ],
+    # a shape below the smallest normal double: exit 4 with one line on
+    # stderr, and no numpy warning
+    "variance-theta-tiny": ["variance", "--theta", "1,1,1,1e-320,1", "--g", "20", "--seed", "3", "--out", "{out}.csv"],
     "variance-def": ["variance", "--model", "def", *_ESTIMATORS, "--g", "60", "--seed", "18", "--out", "{out}.csv"],
     "fit-conjugate-rsvi": [*_FIT, "--estimator", "rsvi", "--out", "{out}"],
     "fit-conjugate-score": [*_FIT, "--estimator", "score_function", "--out", "{out}"],
@@ -122,7 +127,10 @@ def main(argv=None) -> int:
     os.chdir(argv[0])
     for name, args in COMMANDS.items():
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # catch_warnings resets the once-per-location record of shown
+        # warnings, so each command's stderr holds the warnings it would
+        # print in a process of its own
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
             code = cli.main([a.replace("{out}", name) for a in args])
         for suffix, text in (("stdout", out.getvalue()), ("stderr", err.getvalue()), ("exit", f"{code}\n")):
             with open(f"{name}.{suffix}", "w", encoding="utf-8") as fh:
